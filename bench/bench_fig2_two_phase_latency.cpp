@@ -18,7 +18,6 @@
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "sharding/elastico.hpp"
-#include "sim/kernel.hpp"
 #include "txn/trace_generator.hpp"
 
 namespace {
@@ -78,11 +77,9 @@ struct DesRun {
 };
 
 DesRun timed_des_epochs(const mvcom::sharding::ElasticoConfig& base,
-                        mvcom::sim::KernelMode kernel_mode,
                         std::size_t lane_workers, std::uint64_t epochs,
                         const mvcom::txn::Trace& trace) {
   mvcom::sharding::ElasticoConfig config = base;
-  config.kernel_mode = kernel_mode;
   config.lane_workers = lane_workers;
   mvcom::sharding::ElasticoNetwork network(config, Rng(77));
   DesRun run;
@@ -122,35 +119,18 @@ void run_des_scale_tier(mvcom::bench::BenchJson& json) {
               config.committee_bits,
               static_cast<unsigned long long>(kEpochs));
 
-  // The gate workload runs the batched SoA kernel executor; the reference
-  // slab interpreter is re-timed alongside, and all three runs (reference
-  // serial, batched serial, batched laned) must report identical digests —
-  // the bitwise-determinism witness across executors AND lane counts.
-  const DesRun reference = timed_des_epochs(
-      config, mvcom::sim::KernelMode::kReference, 0, kEpochs, trace);
-  const DesRun serial = timed_des_epochs(
-      config, mvcom::sim::KernelMode::kBatched, 0, kEpochs, trace);
-  const DesRun laned = timed_des_epochs(
-      config, mvcom::sim::KernelMode::kBatched, kLanes, kEpochs, trace);
-  const bool identical = serial.digests == laned.digests &&
-                         serial.digests == reference.digests &&
-                         serial.events == laned.events &&
-                         serial.events == reference.events;
-  const double reference_rate =
-      static_cast<double>(reference.events) / reference.seconds;
+  const DesRun serial = timed_des_epochs(config, 0, kEpochs, trace);
+  const DesRun laned = timed_des_epochs(config, kLanes, kEpochs, trace);
+  const bool identical =
+      serial.digests == laned.digests && serial.events == laned.events;
   const double serial_rate = static_cast<double>(serial.events) /
                              serial.seconds;
   const double speedup = serial.seconds / laned.seconds;
   const unsigned cores = std::thread::hardware_concurrency();
 
-  std::printf("  reference: %.3fs (%llu events, %.0f events/s)\n",
-              reference.seconds,
-              static_cast<unsigned long long>(reference.events),
-              reference_rate);
-  std::printf("  batched  : %.3fs (%llu events, %.0f events/s, %.2fx)\n",
+  std::printf("  serial   : %.3fs (%llu events, %.0f events/s)\n",
               serial.seconds,
-              static_cast<unsigned long long>(serial.events), serial_rate,
-              serial_rate / reference_rate);
+              static_cast<unsigned long long>(serial.events), serial_rate);
   std::printf("  %zu lanes  : %.3fs (speedup %.2fx)\n", kLanes, laned.seconds,
               speedup);
   std::printf("  determinism: digests %s\n",
@@ -171,9 +151,8 @@ void run_des_scale_tier(mvcom::bench::BenchJson& json) {
   json.set("des_scale_digests_identical", identical ? 1.0 : 0.0);
   json.set("des_scale_speedup_lanes8", speedup);
   json.set("des_scale_hardware_threads", static_cast<double>(cores));
-  json.set("des_scale_reference_rate", reference_rate);
   // Perf-gate keys (tools/bench_compare.py): both paths are wall-clock
-  // gated, and the batched serial path doubles as the events/s rate gate.
+  // gated, and the serial path doubles as the events/s rate gate.
   json.set("gate_seconds_fig2_des_serial", serial.seconds);
   json.set("gate_seconds_fig2_des_lanes8", laned.seconds);
   json.set("gate_rate_fig2_des_events", serial_rate);

@@ -18,7 +18,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <span>
 #include <string>
 #include <vector>
@@ -186,37 +185,8 @@ void BM_SimulatorChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorChurn)->Arg(64)->Arg(4096)->Arg(65536);
 
-// Cohort dispatch: typed-event churn through the batched SoA executor,
-// `range(0)` events per timestamp so every pop drains one cohort. The
-// counterpart of BM_SimulatorChurn for the kernel path (DESIGN.md §16).
-void BM_CohortDispatch(benchmark::State& state) {
-  const auto cohort = static_cast<std::size_t>(state.range(0));
-  mvcom::sim::Simulator sim(
-      mvcom::sim::SimConfig{mvcom::sim::KernelMode::kBatched});
-  static std::uint64_t sink = 0;
-  const auto kernel = sim.register_kernel(
-      [](void*, const mvcom::sim::TypedPayload* c, std::size_t n) {
-        for (std::size_t i = 0; i < n; ++i) sink += c[i].a;
-      },
-      nullptr);
-  double at = 1.0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    for (std::size_t i = 0; i < cohort; ++i) {
-      sim.schedule_typed(SimTime(at), kernel, {i, 0});
-    }
-    state.ResumeTiming();
-    sim.run();
-    at += 1.0;
-  }
-  benchmark::DoNotOptimize(sink);
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(cohort));
-}
-BENCHMARK(BM_CohortDispatch)->Arg(1)->Arg(16)->Arg(256)->Arg(4096);
-
 // Batched exponential sampling — the SIMD-friendly transform behind the
-// PBFT verification delays and the Eq.-(8) timer race.
+// Eq.-(8) timer race.
 void BM_FillExponential(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(7);
@@ -385,75 +355,8 @@ void run_event_churn(mvcom::bench::BenchJson& json) {
   json.set("gate_rate_sim_event_churn", rate);
 }
 
-/// Typed-event throughput through both executors on an identical workload:
-/// steady-state same-timestamp storms (cohort size 64) where every executed
-/// element schedules its replacement one tick later — constant queue depth,
-/// so the measurement is dispatch cost, not heap depth. Gates the batched
-/// path and records the reference interpreter alongside; aborts if the two
-/// order digests ever disagree — a perf run must never certify a rate for a
-/// divergent engine.
-void run_cohort_dispatch(mvcom::bench::BenchJson& json) {
-  constexpr std::size_t kCohort = 64;
-  constexpr std::uint64_t kEvents = 1'000'000;
-  struct Run {
-    double seconds = 0.0;
-    std::uint64_t digest = 0;
-    std::uint64_t executed = 0;
-  };
-  const auto measure = [&](mvcom::sim::KernelMode mode) {
-    struct Ctx {
-      mvcom::sim::Simulator sim;
-      mvcom::sim::KernelId kernel{};
-      std::uint64_t sink = 0;
-      explicit Ctx(mvcom::sim::KernelMode m)
-          : sim(mvcom::sim::SimConfig{m}) {}
-    } ctx(mode);
-    ctx.kernel = ctx.sim.register_kernel(
-        [](void* raw, const mvcom::sim::TypedPayload* c, std::size_t n) {
-          auto* self = static_cast<Ctx*>(raw);
-          const SimTime next = self->sim.now() + SimTime(1.0);
-          for (std::size_t i = 0; i < n; ++i) {
-            self->sink += c[i].a;
-            self->sim.schedule_typed(next, self->kernel, c[i]);
-          }
-        },
-        &ctx);
-    for (std::size_t i = 0; i < kCohort; ++i) {
-      ctx.sim.schedule_typed(SimTime(1.0), ctx.kernel, {i, 0});
-    }
-    ctx.sim.run(kCohort * 16);  // warm-up
-    const auto t0 = std::chrono::steady_clock::now();
-    ctx.sim.run(kEvents);
-    Run run;
-    run.seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    run.digest = ctx.sim.order_digest();
-    run.executed = ctx.sim.events_executed();
-    benchmark::DoNotOptimize(ctx.sink);
-    return run;
-  };
-  const Run reference = measure(mvcom::sim::KernelMode::kReference);
-  const Run batched = measure(mvcom::sim::KernelMode::kBatched);
-  if (reference.digest != batched.digest ||
-      reference.executed != batched.executed) {
-    std::fprintf(stderr,
-                 "FATAL: kernel modes diverged in run_cohort_dispatch\n");
-    std::abort();
-  }
-  const double events = static_cast<double>(reference.executed);
-  const double ref_rate = events / reference.seconds;
-  const double bat_rate = events / batched.seconds;
-  std::printf("\n--- cohort dispatch (size %zu storms) ---\n", kCohort);
-  std::printf("  reference: %.0f events/s, batched: %.0f events/s (%.2fx)\n",
-              ref_rate, bat_rate, bat_rate / ref_rate);
-  json.set("sim_cohort_size", static_cast<double>(kCohort));
-  json.set("sim_cohort_reference_rate", ref_rate);
-  json.set("gate_rate_sim_cohort_dispatch", bat_rate);
-}
-
 /// Batched exponential sampling rate — fill_exponential over a 1024-draw
-/// buffer, the shape the PBFT verification-delay kernel uses.
+/// buffer.
 void run_fill_exponential(mvcom::bench::BenchJson& json) {
   constexpr std::size_t kBatch = 1024;
   constexpr std::size_t kReps = 20'000;
@@ -517,7 +420,6 @@ int main(int argc, char** argv) {
   run_scale_throughput(json);
   run_pow_rate(json);
   run_event_churn(json);
-  run_cohort_dispatch(json);
   run_fill_exponential(json);
   run_se_timer_race(json);
   json.write();

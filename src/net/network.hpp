@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -85,19 +86,15 @@ class Network {
     return true;
   }
 
-  /// Typed-kernel counterpart of send(): identical drop/loss bookkeeping and
-  /// RNG consumption, but the delivery is a 16-byte TypedPayload dispatched
-  /// to `kernel` (sim/kernel.hpp) instead of a type-erased callback — the
-  /// batched executor groups same-timestamp deliveries into one SoA kernel
-  /// call. Typed deliveries are non-cancellable and are counted in the
-  /// message counters and delay histogram but, unlike send(), do not emit a
-  /// per-message in-flight trace span (the hot path stays branch-free; drops
-  /// and pings still trace).
-  bool send_event(NodeId from, NodeId to, sim::KernelId kernel,
-                  sim::TypedPayload payload) {
+  /// Untraced counterpart of send(): identical drop/loss bookkeeping, RNG
+  /// consumption, message counters and delay histogram, but no per-message
+  /// in-flight trace span — for the hot protocol paths (PBFT deliveries)
+  /// whose traffic would drown the trace. Drops and pings still trace.
+  template <typename F>
+  bool send_event(NodeId from, NodeId to, F&& on_deliver) {
     const SendPlan plan = plan_send(from, to);
     if (!plan.deliver) return false;
-    simulator_.schedule_typed_after(plan.delay, kernel, payload);
+    simulator_.schedule_after(plan.delay, std::forward<F>(on_deliver));
     return true;
   }
 

@@ -91,12 +91,6 @@ struct ElasticoConfig {
   /// outcomes merge back in committee order (same contract as
   /// SeParams::max_pool_workers).
   std::size_t lane_workers = 0;
-  /// DES executor for every lane fabric (sim/kernel.hpp): kReference fires
-  /// one event at a time through the slab, kBatched dispatches typed-event
-  /// cohorts to SoA kernels. Like lane_workers, this knob NEVER changes
-  /// results — both executors fire the same events in the same order, which
-  /// the kernel differential suite asserts digest-for-digest.
-  sim::KernelMode kernel_mode = sim::KernelMode::kReference;
 };
 
 /// Per-committee outcome of one epoch.

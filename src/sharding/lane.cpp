@@ -40,7 +40,7 @@ LaneResult run_committee_lane(const LaneTask& task, obs::ObsContext obs) {
     // the linear-in-N term), then pushes the list back out. Each exchange
     // runs on an isolated event fabric so its absolute-time scheduling
     // cannot collide with the other committees' stages.
-    sim::Simulator overlay_sim(sim::SimConfig{task.kernel_mode});
+    sim::Simulator overlay_sim;
     overlay_sim.set_obs(obs);
     net::Network overlay_net(overlay_sim, Rng(task.overlay_seed), link,
                              task.num_nodes);
@@ -72,7 +72,7 @@ LaneResult run_committee_lane(const LaneTask& task, obs::ObsContext obs) {
   result.formed = true;
 
   if (task.committee_id < task.member_committees) {
-    sim::Simulator lane_sim(sim::SimConfig{task.kernel_mode});
+    sim::Simulator lane_sim;
     lane_sim.set_obs(obs);
     net::Network lane_net(lane_sim, Rng(task.net_seed), link, task.num_nodes);
     lane_net.set_obs(obs);

@@ -26,7 +26,6 @@
 #include "consensus/pbft.hpp"
 #include "net/network.hpp"
 #include "obs/context.hpp"
-#include "sim/kernel.hpp"
 
 namespace mvcom::sharding {
 
@@ -48,7 +47,6 @@ struct LaneTask {
 
   // --- epoch-wide context ---
   bool message_level_overlay = false;
-  sim::KernelMode kernel_mode = sim::KernelMode::kReference;
   std::uint32_t num_nodes = 0;
   SimTime link_latency_mean = SimTime::zero();
   double message_loss_probability = 0.0;

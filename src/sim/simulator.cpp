@@ -51,7 +51,6 @@ std::uint32_t Simulator::arm_slot(SimTime at) {
     }
     index = static_cast<std::uint32_t>(used);
   }
-  assert((index & kTypedBit) == 0);  // 2^31 slots: the slab never gets there
   heap_push(HeapEntry{at, next_seq_++, index, slot(index).gen});
   ++live_;
   if (obs_scheduled_ != nullptr) obs_scheduled_->inc();
@@ -160,104 +159,7 @@ bool Simulator::fire_next() {
   return false;
 }
 
-KernelId Simulator::register_kernel(KernelFn fn, void* ctx) {
-  assert(fn != nullptr);
-  if (kernels_.size() >= 0x10000) {
-    throw std::logic_error("Simulator::register_kernel: too many kernels");
-  }
-  kernels_.push_back(Kernel{fn, ctx});
-  return KernelId{static_cast<std::uint16_t>(kernels_.size() - 1)};
-}
-
-void Simulator::schedule_typed(SimTime at, KernelId kernel,
-                               TypedPayload payload) {
-  assert(kernel.value < kernels_.size());
-  if (config_.kernel_mode == KernelMode::kReference) {
-    // Reference interpreter: the event goes through the slab like any other
-    // callback and invokes the kernel as a cohort of one. 32-byte capture —
-    // stays inline.
-    const Kernel k = kernels_[kernel.value];
-    schedule_at(at, [k, payload] { k.fn(k.ctx, &payload, 1); });
-    return;
-  }
-  if (at < now_) {
-    throw std::logic_error(
-        "Simulator::schedule_typed: cannot schedule in the past");
-  }
-  std::uint32_t index;
-  if (!typed_free_.empty()) {
-    index = typed_free_.back();
-    typed_free_.pop_back();
-    typed_pool_[index] = payload;
-  } else {
-    index = static_cast<std::uint32_t>(typed_pool_.size());
-    typed_pool_.push_back(payload);
-  }
-  heap_push(HeapEntry{at, next_seq_++, kTypedBit | index, kernel.value});
-  ++live_;
-  if (obs_scheduled_ != nullptr) obs_scheduled_->inc();
-}
-
-void Simulator::skip_stale_head() noexcept {
-  while (!heap_.empty()) {
-    const HeapEntry& top = heap_[0];
-    if ((top.slot & kTypedBit) != 0 || slot(top.slot).gen == top.gen) return;
-    heap_pop_root();
-  }
-}
-
-std::size_t Simulator::run_batched(std::size_t limit, const SimTime* horizon) {
-  std::size_t fired = 0;
-  while (fired < limit) {
-    skip_stale_head();
-    if (heap_.empty()) break;
-    if (horizon != nullptr && heap_[0].at > *horizon) break;
-    if ((heap_[0].slot & kTypedBit) == 0) {
-      // Live slab event at the head: fire it individually, as the reference
-      // executor would.
-      fire_next();
-      ++fired;
-      continue;
-    }
-    // Collect the maximal cohort: consecutive typed entries sharing
-    // (timestamp, kernel) in heap pop order. Events a kernel schedules get
-    // strictly larger `seq` values, so they sort after every collected
-    // member — the execution order (and hence the digest, folded per member
-    // in pop order below) is identical to firing them one at a time.
-    const SimTime at = heap_[0].at;
-    const std::uint32_t kernel = heap_[0].gen;
-    assert(at >= now_);
-    cohort_.clear();
-    do {
-      const HeapEntry top = heap_[0];
-      heap_pop_root();
-      const std::uint32_t index = top.slot & ~kTypedBit;
-      cohort_.push_back(typed_pool_[index]);
-      typed_free_.push_back(index);
-      --live_;
-      ++executed_;
-      ++fired;
-      digest_ = fnv1a_mix(digest_, top.seq);
-      digest_ =
-          fnv1a_mix(digest_, std::bit_cast<std::uint64_t>(top.at.seconds()));
-      skip_stale_head();
-    } while (fired < limit && !heap_.empty() &&
-             (heap_[0].slot & kTypedBit) != 0 && heap_[0].gen == kernel &&
-             heap_[0].at == at);
-    now_ = at;
-    if (obs_executed_ != nullptr) obs_executed_->add(cohort_.size());
-    // Payload slots were recycled above; the kernel sees copies, so
-    // schedule_typed re-entry may safely reuse (or grow) the arena.
-    const Kernel k = kernels_[kernel];
-    k.fn(k.ctx, cohort_.data(), cohort_.size());
-  }
-  return fired;
-}
-
 std::size_t Simulator::run(std::size_t limit) {
-  if (config_.kernel_mode == KernelMode::kBatched) {
-    return run_batched(limit, nullptr);
-  }
   std::size_t fired = 0;
   while (fired < limit && fire_next()) ++fired;
   return fired;
@@ -265,11 +167,6 @@ std::size_t Simulator::run(std::size_t limit) {
 
 std::size_t Simulator::run_until(SimTime horizon) {
   std::size_t fired = 0;
-  if (config_.kernel_mode == KernelMode::kBatched) {
-    fired = run_batched(SIZE_MAX, &horizon);
-    if (now_ < horizon) now_ = horizon;
-    return fired;
-  }
   while (!heap_.empty()) {
     // Drop stale tombstones at the head so the peeked time is live.
     const HeapEntry& top = heap_[0];

@@ -9,21 +9,26 @@
 // bit-exact), the same commit flags and view-change counts, the same final
 // block, and the same DES event-order digest.
 //
-// The same runs feed a digest file when MVCOM_DES_DETERMINISM_DIGEST is set:
-// SHA-256 over every epoch field plus the simulator's event-order digest.
-// CI runs this test in MVCOM_OBS=ON and OBS=OFF builds and diffs the two
-// files, extending the bitwise guarantee across observability builds (which
-// no single binary can check alone).
+// Each scenario's serial run is also hashed — SHA-256 over every epoch field
+// plus the simulator's event-order digest. The SimKernelsDifferential tests
+// pin one hash per scenario, so any drift in event order, RNG draws or
+// (sequence, timestamp) pairs fails here and names the scenario that moved,
+// rather than showing only in a cross-build diff. The matrix writes the same
+// lines to a digest file when MVCOM_DES_DETERMINISM_DIGEST is set; CI runs it
+// in MVCOM_OBS=ON and OBS=OFF builds and diffs the two files, extending the
+// bitwise guarantee across observability builds.
 
 #include "sharding/elastico.hpp"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -63,6 +68,35 @@ ElasticoConfig lane_config() {
   config.pbft.view_change_timeout = SimTime(120.0);
   return config;
 }
+
+/// Failures + message loss: the lossy code paths (drops, view changes,
+/// horizon timeouts) must be just as order-independent.
+ElasticoConfig faulty_config() {
+  ElasticoConfig config = lane_config();
+  config.node_failure_probability = 0.10;
+  config.message_loss_probability = 0.02;
+  return config;
+}
+
+/// Message-level overlay: stage 2 runs the real directory exchange on its
+/// own per-lane fabric (a second simulator per lane).
+ElasticoConfig message_overlay_config() {
+  ElasticoConfig config = lane_config();
+  config.message_level_overlay = true;
+  return config;
+}
+
+/// Heavy churn: a third of the nodes down and lossy links every epoch —
+/// drops, view changes, and horizon aborts dominate the event stream.
+ElasticoConfig churn_config() {
+  ElasticoConfig config = lane_config();
+  config.node_failure_probability = 0.33;
+  config.message_loss_probability = 0.10;
+  config.pbft.view_change_timeout = SimTime(30.0);
+  return config;
+}
+
+constexpr std::size_t kMatrixEpochs = 2;
 
 /// Runs `epochs` consecutive epochs from one seed at the given worker count
 /// and returns every outcome (epoch chaining exercises the randomness
@@ -113,8 +147,13 @@ void expect_identical(const EpochOutcome& a, const EpochOutcome& b) {
 
 std::string outcome_digest(const std::vector<EpochOutcome>& epochs) {
   mvcom::crypto::Sha256 h;
+  // Little-endian absorption keeps the pinned hashes host-independent.
   const auto absorb_u64 = [&h](std::uint64_t v) {
-    h.update(std::string_view(reinterpret_cast<const char*>(&v), sizeof v));
+    std::array<std::uint8_t, 8> bytes;
+    for (std::size_t i = 0; i < bytes.size(); ++i) {
+      bytes[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+    h.update(bytes);
   };
   const auto absorb_time = [&](SimTime t) {
     absorb_u64(std::bit_cast<std::uint64_t>(t.seconds()));
@@ -144,10 +183,9 @@ std::string outcome_digest(const std::vector<EpochOutcome>& epochs) {
 void run_matrix(const std::string& label, const ElasticoConfig& config,
                 std::ofstream& digest_out) {
   SCOPED_TRACE(label);
-  constexpr std::size_t kEpochs = 2;
   const Trace trace = lane_trace();
   const std::vector<EpochOutcome> serial =
-      run_epochs(config, 0, kEpochs, trace);
+      run_epochs(config, 0, kMatrixEpochs, trace);
   // An epoch must actually do work for the matrix to mean anything.
   std::size_t committed = 0;
   for (const CommitteeOutcome& c : serial.front().committees) {
@@ -158,7 +196,7 @@ void run_matrix(const std::string& label, const ElasticoConfig& config,
   for (const std::size_t workers : {1u, 2u, 8u}) {
     SCOPED_TRACE("lane_workers=" + std::to_string(workers));
     const std::vector<EpochOutcome> pooled =
-        run_epochs(config, workers, kEpochs, trace);
+        run_epochs(config, workers, kMatrixEpochs, trace);
     ASSERT_EQ(serial.size(), pooled.size());
     for (std::size_t e = 0; e < serial.size(); ++e) {
       SCOPED_TRACE("epoch " + std::to_string(e));
@@ -170,6 +208,14 @@ void run_matrix(const std::string& label, const ElasticoConfig& config,
   }
 }
 
+/// The serial run of one scenario must hash to its pinned value.
+void expect_pinned_digest(const ElasticoConfig& config,
+                          std::string_view pinned_digest) {
+  const std::vector<EpochOutcome> serial =
+      run_epochs(config, 0, kMatrixEpochs, lane_trace());
+  EXPECT_EQ(outcome_digest(serial), pinned_digest) << "epoch outcomes drifted";
+}
+
 TEST(ElasticoLaneMatrix, WorkerCountsAndSerialAgreeBitwise) {
   const char* digest_path = std::getenv("MVCOM_DES_DETERMINISM_DIGEST");
   std::ofstream digest_out;
@@ -177,26 +223,37 @@ TEST(ElasticoLaneMatrix, WorkerCountsAndSerialAgreeBitwise) {
     digest_out.open(digest_path, std::ios::trunc);
     ASSERT_TRUE(digest_out) << "cannot open " << digest_path;
   }
-
   // Baseline: healthy network, closed-form overlay.
   run_matrix("baseline", lane_config(), digest_out);
+  run_matrix("faulty", faulty_config(), digest_out);
+  run_matrix("message_overlay", message_overlay_config(), digest_out);
+  run_matrix("churn", churn_config(), digest_out);
+}
 
-  // Failures + message loss: the lossy code paths (drops, view changes,
-  // horizon timeouts) must be just as order-independent.
-  {
-    ElasticoConfig config = lane_config();
-    config.node_failure_probability = 0.10;
-    config.message_loss_probability = 0.02;
-    run_matrix("faulty", config, digest_out);
-  }
+// One golden hash per DES scenario class; the suite name is kept from when
+// these scenarios also compared two event executors.
+TEST(SimKernelsDifferential, BaselineScenario) {
+  expect_pinned_digest(
+      lane_config(),
+      "c8426152803d4375fcfdfc0b99aebc46bad66a71b99136ee4f25d26cba18db73");
+}
 
-  // Message-level overlay: stage 2 runs the real directory exchange on its
-  // own per-lane fabric (a second simulator per lane).
-  {
-    ElasticoConfig config = lane_config();
-    config.message_level_overlay = true;
-    run_matrix("message_overlay", config, digest_out);
-  }
+TEST(SimKernelsDifferential, FaultyScenario) {
+  expect_pinned_digest(
+      faulty_config(),
+      "c94edd9e4eaf632c2703a10bec5f27d1d35de08b709354cd0bf57ec8736a42df");
+}
+
+TEST(SimKernelsDifferential, MessageOverlayScenario) {
+  expect_pinned_digest(
+      message_overlay_config(),
+      "94df7f27ec1655942cb127907efe11a7cb15a8c04870a77292c162e91da53f15");
+}
+
+TEST(SimKernelsDifferential, ChurnScenario) {
+  expect_pinned_digest(
+      churn_config(),
+      "6b0caa3e25e89ed62cd5e541ecd023ea3e4efb9474088d1244e4dfe5aaddd8e9");
 }
 
 TEST(ElasticoLaneMatrix, LanedEpochMatchesStructuralExpectations) {

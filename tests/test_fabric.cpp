@@ -62,7 +62,6 @@ LaneTask sample_task() {
   task.member_committees = 7;
   task.armed = true;
   task.message_level_overlay = true;
-  task.kernel_mode = mvcom::sim::KernelMode::kBatched;
   task.num_nodes = 128;
   task.link_latency_mean = SimTime(1.25);
   task.message_loss_probability = 0.02;
@@ -89,7 +88,6 @@ void expect_tasks_equal(const LaneTask& a, const LaneTask& b) {
   EXPECT_EQ(a.member_committees, b.member_committees);
   EXPECT_EQ(a.armed, b.armed);
   EXPECT_EQ(a.message_level_overlay, b.message_level_overlay);
-  EXPECT_EQ(a.kernel_mode, b.kernel_mode);
   EXPECT_EQ(a.num_nodes, b.num_nodes);
   EXPECT_EQ(std::bit_cast<std::uint64_t>(a.link_latency_mean.seconds()),
             std::bit_cast<std::uint64_t>(b.link_latency_mean.seconds()));
