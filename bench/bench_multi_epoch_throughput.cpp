@@ -2,11 +2,12 @@
 //
 // The paper's abstract: throughput degrades because of the transactions'
 // cumulative age. Over six consecutive epochs (epoch window comparable to
-// the two-phase latencies, so scheduling actually matters) we track every
-// block's btime (txn/age) and measure the age of each committed TX at the
-// instant its final block commits. Refused shards carry over with the
-// Fig. 3 latency rebase (l' = max(0, l − t_prev)), so nothing is dropped —
-// only deferred, and deferral is visible in the age accounting.
+// the two-phase latencies, so scheduling actually matters) the streaming
+// EpochPipeline tracks every block's btime (txn/age) and measures the age of
+// each committed TX at the instant its final block commits — after the
+// stage-4 PBFT round. Refused shards carry over with the Fig. 3 latency
+// rebase against the realized epoch boundary, so nothing is dropped — only
+// deferred, and deferral is visible in the age accounting.
 //
 // Three final-committee policies, the middle two under the SAME capacity:
 //   wait-for-all — no capacity, DDL = max latency: commits everything;
@@ -16,169 +17,26 @@
 // is younger (lower mean per-TX age) — the Fig.-10 valuable-degree story at
 // per-transaction granularity.
 
-#include <algorithm>
+#include <chrono>
 #include <cstdio>
+#include <string>
 #include <vector>
 
-#include "baselines/dynamic_programming.hpp"
 #include "bench_util.hpp"
 #include "common/rng.hpp"
-#include "mvcom/se_scheduler.hpp"
+#include "pipeline/epoch_pipeline.hpp"
 #include "txn/accounts/model.hpp"
-#include "txn/age.hpp"
 #include "txn/trace_generator.hpp"
-#include "txn/workload.hpp"
 #include "txn/xshard/scheduler.hpp"
 
 namespace {
 
 using mvcom::common::Rng;
-using mvcom::core::EpochInstance;
-using mvcom::txn::ShardBlocks;
+using mvcom::pipeline::EpochPipeline;
+using mvcom::pipeline::FinalPolicy;
+using mvcom::pipeline::PipelineConfig;
+using mvcom::pipeline::PipelineTotals;
 using mvcom::txn::Trace;
-
-constexpr double kFinalConsensusSeconds = 54.5;
-
-enum class Policy { kWaitAll, kThroughputDp, kMvcomSe };
-
-/// One pipeline configuration: the classic paper-scale run and the 10k–50k
-/// scale tiers share all the carry-over machinery and differ only here.
-struct RunShape {
-  std::size_t committees = 20;
-  std::size_t epochs = 6;
-  std::size_t se_iterations = 2000;
-  std::size_t se_threads = 8;
-  std::size_t se_max_family = mvcom::core::SeParams{}.max_family;
-};
-
-struct PendingShard {
-  std::vector<std::size_t> block_indices;
-  std::uint64_t txs = 0;
-  double latency = 0.0;      // effective latency relative to this epoch's start
-  double submit_time = 0.0;  // absolute two-phase completion instant
-  bool carried = false;
-};
-
-struct RunTotals {
-  std::uint64_t committed_txs = 0;
-  double total_age = 0.0;  // Σ per-TX (commit − btime) over committed TXs
-  std::uint64_t deferred_txs = 0;  // still pending after the last epoch
-};
-
-RunTotals run(const Trace& trace, Policy policy, std::uint64_t seed,
-              const RunShape& shape) {
-  Rng rng(seed);
-  mvcom::txn::WorkloadConfig wc;  // latency model parameters only
-  wc.num_committees = shape.committees;
-
-  const double trace_start = trace.blocks.front().btime;
-  const double span = trace.blocks.back().btime - trace_start + 1.0;
-  const double window = span / static_cast<double>(shape.epochs);
-
-  RunTotals totals;
-  std::vector<PendingShard> carried;
-  double prev_commit = 0.0;  // realized boundary: previous final-block commit
-
-  std::size_t next_block = 0;
-  for (std::size_t epoch = 0; epoch < shape.epochs; ++epoch) {
-    const double window_end =
-        trace_start + static_cast<double>(epoch + 1) * window;
-    // The final committee cannot start epoch e before its own previous block
-    // committed — when stage-4 consensus overruns the window, the realized
-    // boundary is that commit instant, not the nominal window edge. Every
-    // latency below is measured from here (the old `l − prev_ddl` rebase
-    // ignored the final-consensus overrun and under-aged carried shards).
-    const double start = std::max(window_end, prev_commit);
-
-    std::vector<std::size_t> fresh;
-    while (next_block < trace.blocks.size() &&
-           trace.blocks[next_block].btime < window_end) {
-      fresh.push_back(next_block++);
-    }
-
-    // Carried shards re-enter with the Fig.-3 latency rebase against the
-    // realized boundary; fresh blocks are dealt round-robin over new
-    // committees.
-    std::vector<PendingShard> shards = std::move(carried);
-    carried.clear();
-    for (PendingShard& s : shards) {
-      s.latency = std::max(0.0, s.submit_time - start);
-      s.carried = true;
-    }
-    std::vector<PendingShard> dealt(shape.committees);
-    for (std::size_t i = 0; i < fresh.size(); ++i) {
-      dealt[i % shape.committees].block_indices.push_back(fresh[i]);
-    }
-    for (PendingShard& s : dealt) {
-      if (s.block_indices.empty()) continue;
-      // Committees form as soon as the window closes; submission is absolute
-      // so a later carry rebases exactly, however far consensus overran.
-      s.submit_time = mvcom::txn::sample_submit_instant(rng, wc, window_end);
-      s.latency = std::max(0.0, s.submit_time - start);
-      shards.push_back(std::move(s));
-    }
-    if (shards.empty()) continue;
-
-    std::uint64_t pending_txs = 0;
-    for (PendingShard& s : shards) {
-      s.txs = 0;
-      for (const std::size_t b : s.block_indices) {
-        s.txs += trace.blocks[b].tx_count;
-      }
-      pending_txs += s.txs;
-    }
-
-    std::vector<mvcom::core::Committee> committees;
-    for (std::size_t i = 0; i < shards.size(); ++i) {
-      committees.push_back({static_cast<std::uint32_t>(i), shards[i].txs,
-                            shards[i].latency});
-    }
-
-    std::vector<bool> keep(shards.size(), policy == Policy::kWaitAll);
-    if (policy != Policy::kWaitAll) {
-      const std::uint64_t capacity = (pending_txs * 6) / 10;  // same Ĉ
-      const EpochInstance instance(committees, /*alpha=*/1.5, capacity, 0);
-      mvcom::core::Selection best;
-      if (policy == Policy::kThroughputDp) {
-        mvcom::baselines::DynamicProgramming dp;  // throughput objective
-        const auto result = dp.solve(instance);
-        if (result.feasible) best = result.best;
-      } else {
-        mvcom::core::SeParams params;
-        params.threads = shape.se_threads;
-        params.max_iterations = shape.se_iterations;
-        params.max_family = shape.se_max_family;
-        mvcom::core::SeScheduler scheduler(instance, params, seed + epoch);
-        const auto result = scheduler.run();
-        if (result.feasible) best = result.best;
-      }
-      for (std::size_t i = 0; i < best.size(); ++i) keep[i] = best[i] != 0;
-    }
-
-    // DDL = slowest *selected* submission; commit after final consensus.
-    double ddl = 0.0;
-    for (std::size_t i = 0; i < shards.size(); ++i) {
-      if (keep[i]) ddl = std::max(ddl, shards[i].latency);
-    }
-    const double commit = start + ddl + kFinalConsensusSeconds;
-    for (std::size_t i = 0; i < shards.size(); ++i) {
-      if (keep[i]) {
-        ShardBlocks provenance;
-        provenance.block_indices = shards[i].block_indices;
-        const auto age =
-            mvcom::txn::shard_age_profile(trace, provenance, commit);
-        totals.committed_txs += age.tx_count;
-        totals.total_age += age.total_age;
-      } else {
-        carried.push_back(std::move(shards[i]));
-      }
-    }
-    prev_commit = commit;
-  }
-
-  for (const PendingShard& s : carried) totals.deferred_txs += s.txs;
-  return totals;
-}
 
 }  // namespace
 
@@ -200,45 +58,47 @@ int main() {
   std::printf("  %-16s %14s %16s %14s\n", "policy", "TXs committed",
               "mean TX age(s)", "TXs deferred");
   const struct {
-    Policy policy;
+    FinalPolicy policy;
     const char* name;
+    const char* tag;
   } kPolicies[] = {
-      {Policy::kWaitAll, "wait-for-all"},
-      {Policy::kThroughputDp, "DP (capacity)"},
-      {Policy::kMvcomSe, "MVCom (SE)"},
+      {FinalPolicy::kWaitAll, "wait-for-all", "wait_all"},
+      {FinalPolicy::kThroughputDp, "DP (capacity)", "dp"},
+      {FinalPolicy::kMvcomSe, "MVCom (SE)", "mvcom_se"},
   };
-  const RunShape paper_shape;
   for (const auto& entry : kPolicies) {
-    RunTotals totals{};
+    PipelineTotals totals{};
     constexpr std::uint64_t kSeeds = 3;
     for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
-      const RunTotals one = run(trace, entry.policy, seed * 10, paper_shape);
+      PipelineConfig config;  // 20 committees, 6 epochs, Ĉ = 60% of pending
+      config.policy = entry.policy;
+      config.se.threads = 8;
+      config.se.max_iterations = 2000;
+      config.seed = seed * 10;
+      const PipelineTotals one = EpochPipeline(trace, config).run();
       totals.committed_txs += one.committed_txs;
       totals.total_age += one.total_age;
-      totals.deferred_txs += one.deferred_txs;
+      totals.pending_txs += one.pending_txs;
     }
     const double mean_age =
         totals.total_age / static_cast<double>(totals.committed_txs);
     std::printf("  %-16s %14llu %16.1f %14llu\n", entry.name,
                 static_cast<unsigned long long>(totals.committed_txs / kSeeds),
                 mean_age,
-                static_cast<unsigned long long>(totals.deferred_txs / kSeeds));
-    const std::string tag = entry.policy == Policy::kWaitAll   ? "wait_all"
-                            : entry.policy == Policy::kThroughputDp
-                                ? "dp"
-                                : "mvcom_se";
+                static_cast<unsigned long long>(totals.pending_txs / kSeeds));
+    const std::string tag = entry.tag;
     json.set(tag + "_committed_txs",
              static_cast<double>(totals.committed_txs / kSeeds));
     json.set(tag + "_mean_tx_age_seconds", mean_age);
     json.set(tag + "_deferred_txs",
-             static_cast<double>(totals.deferred_txs / kSeeds));
+             static_cast<double>(totals.pending_txs / kSeeds));
   }
   std::printf("  (expected shape: under the same capacity, MVCom commits a "
               "similar volume to DP at a lower mean per-TX age — the "
               "freshness-aware selection; wait-for-all is the no-capacity "
               "reference)\n");
 
-  // --- Scale tier: the same carry-over pipeline at 10k (and, under
+  // --- Scale tier: the same pipeline at 10k (and, under
   // MVCOM_BENCH_SCALE=full, 50k) committees — SE policy only; the DP
   // baseline's pseudo-polynomial knapsack is not in the 10k game. One seed,
   // fewer epochs and iterations: this tier times the engine under epoch
@@ -254,14 +114,15 @@ int main() {
     stc.target_total_txs = icount * 1500;
     stc.mean_interblock_seconds = 15.0;
     const Trace scale_trace = mvcom::txn::generate_trace(stc, scale_trace_rng);
-    RunShape shape;
-    shape.committees = icount;
-    shape.epochs = 3;
-    shape.se_iterations = 300;
-    shape.se_threads = 4;
-    if (icount > 10'000) shape.se_max_family = 256;
+    PipelineConfig config;
+    config.committees = icount;
+    config.epochs = 3;
+    config.se.max_iterations = 300;
+    config.se.threads = 4;
+    if (icount > 10'000) config.se.max_family = 256;
+    config.seed = 10;
     const auto t0 = std::chrono::steady_clock::now();
-    const RunTotals totals = run(scale_trace, Policy::kMvcomSe, 10, shape);
+    const PipelineTotals totals = EpochPipeline(scale_trace, config).run();
     const double seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
@@ -270,9 +131,9 @@ int main() {
     std::printf(
         "  I=%zu: %zu epochs in %.3fs | %llu TXs committed (%.0f TX/s "
         "end-to-end), %llu deferred\n",
-        icount, shape.epochs, seconds,
+        icount, config.epochs, seconds,
         static_cast<unsigned long long>(totals.committed_txs), tx_rate,
-        static_cast<unsigned long long>(totals.deferred_txs));
+        static_cast<unsigned long long>(totals.pending_txs));
     const std::string tag = "scale_" + std::to_string(icount);
     json.set(tag + "_committed_txs",
              static_cast<double>(totals.committed_txs));

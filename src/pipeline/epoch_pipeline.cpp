@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "baselines/dynamic_programming.hpp"
 #include "common/thread_pool.hpp"
 #include "consensus/pbft.hpp"
 #include "crypto/merkle.hpp"
@@ -47,6 +48,9 @@ enum StreamSlot : std::uint64_t {
   kFinalNetSlot = 2,   // stage-4 network fabric
   kFinalPbftSlot = 3,  // stage-4 PBFT protocol randomness
 };
+
+/// Stage-4 final committee size (one PBFT round over the selected roots).
+constexpr std::size_t kFinalReplicas = 4;
 
 std::uint64_t stream_index(std::size_t epoch, StreamSlot slot) noexcept {
   return 4 * static_cast<std::uint64_t>(epoch) + slot;
@@ -349,21 +353,41 @@ EpochReport EpochPipeline::schedule_epoch(FormedEpoch&& formed) {
         config_.capacity_fraction * static_cast<double>(pending_txs));
     const core::EpochInstance instance(std::move(committees), config_.alpha,
                                        capacity, config_.n_min);
-    const std::uint64_t se_seed =
-        Rng::stream(config_.seed, stream_index(formed.epoch, kSeSeedSlot))();
-    core::SeScheduler scheduler(instance, config_.se, se_seed);
-    if (config_.warm_start) {
-      const core::Selection seed_sel = greedy_seed(instance);
-      if (!seed_sel.empty()) {
-        report.warm_seed_utility = scheduler.warm_start(seed_sel);
+    switch (config_.policy) {
+      case FinalPolicy::kMvcomSe: {
+        const std::uint64_t se_seed = Rng::stream(
+            config_.seed, stream_index(formed.epoch, kSeSeedSlot))();
+        core::SeScheduler scheduler(instance, config_.se, se_seed);
+        if (config_.warm_start) {
+          const core::Selection seed_sel = greedy_seed(instance);
+          if (!seed_sel.empty()) {
+            report.warm_seed_utility = scheduler.warm_start(seed_sel);
+          }
+        }
+        const core::SeResult result = scheduler.run();
+        se_iterations = result.iterations;
+        if (result.feasible) {
+          keep = result.best;
+          report.feasible = true;
+          report.utility = result.utility;
+        }
+        break;
       }
-    }
-    const core::SeResult result = scheduler.run();
-    se_iterations = result.iterations;
-    if (result.feasible) {
-      keep = result.best;
-      report.feasible = true;
-      report.utility = result.utility;
+      case FinalPolicy::kThroughputDp: {
+        const baselines::SolverResult result =
+            baselines::DynamicProgramming().solve(instance);
+        if (result.feasible) {
+          keep = result.best;
+          report.feasible = true;
+          report.utility = result.utility;
+        }
+        break;
+      }
+      case FinalPolicy::kWaitAll:  // Ĉ does not bind: every shard commits
+        keep.assign(shards.size(), 1);
+        report.feasible = true;
+        report.utility = instance.utility(keep);
+        break;
     }
   }
   report.se_iterations = se_iterations;
@@ -388,8 +412,8 @@ EpochReport EpochPipeline::schedule_epoch(FormedEpoch&& formed) {
                                                             SimTime(0.05));
   net::Network network(
       des, Rng::stream(config_.seed, stream_index(formed.epoch, kFinalNetSlot)),
-      link, config_.final_replicas);
-  std::vector<net::NodeId> members(config_.final_replicas);
+      link, kFinalReplicas);
+  std::vector<net::NodeId> members(kFinalReplicas);
   std::iota(members.begin(), members.end(), net::NodeId{0});
   consensus::PbftCluster cluster(
       des, network, consensus::PbftConfig{},

@@ -19,12 +19,13 @@
 //
 //   Stage B — scheduling + final consensus. Rebase carried shards against
 //     the *realized* epoch boundary (max of the nominal window edge and the
-//     previous final block's commit instant), build the EpochInstance, run
-//     the SE scheduler (warm-started from a greedy cross-epoch seed), decide
-//     the DDL, run stage-4 final consensus as a real discrete-event PBFT
-//     round, account committed per-TX ages, extend the root chain, and
-//     carry the refused shards forward. Stage B mutates all cross-epoch
-//     state and therefore executes strictly in epoch order.
+//     previous final block's commit instant), build the EpochInstance, pick
+//     the final committee's shards under the configured FinalPolicy (by
+//     default the SE scheduler, warm-started from a greedy cross-epoch
+//     seed), decide the DDL, run stage-4 final consensus as a real
+//     discrete-event PBFT round, account committed per-TX ages, extend the
+//     root chain, and carry the refused shards forward. Stage B mutates all
+//     cross-epoch state and therefore executes strictly in epoch order.
 //
 // Overlap: with overlap_depth d >= 2, step k runs {B(k), A(k+d-1)} as one
 // thread-pool batch — the root chain never idles waiting for formation.
@@ -56,6 +57,13 @@ class Gauge;
 
 namespace mvcom::pipeline {
 
+/// How stage B picks the final committee's shards from the pending set.
+enum class FinalPolicy {
+  kMvcomSe,       // SE maximizing Eq. (2) under Ĉ — the paper's scheduler
+  kThroughputDp,  // throughput DP: the most TXs under Ĉ, blind to age
+  kWaitAll,       // no capacity: keep every shard, DDL = slowest submission
+};
+
 struct PipelineConfig {
   std::size_t committees = 20;     // member committees formed per epoch
   std::size_t epochs = 6;          // epoch windows spanning the trace
@@ -68,17 +76,17 @@ struct PipelineConfig {
   double alpha = 1.5;              // Eq.-(2) throughput weight
   double capacity_fraction = 0.6;  // Ĉ as a fraction of pending TXs
   std::size_t n_min = 0;           // Eq.-(3) lower bound
+  FinalPolicy policy = FinalPolicy::kMvcomSe;  // final-committee selection
   core::SeParams se;               // SE scheduler knobs (threads, iterations…)
-  /// Seed epoch e+1's explorers from a greedy cross-epoch selection via
-  /// SeScheduler::warm_start; the reported utility can then never fall
-  /// below the seed's.
+  /// SE policy only: seed epoch e+1's explorers from a greedy cross-epoch
+  /// selection via SeScheduler::warm_start; the reported utility can then
+  /// never fall below the seed's.
   bool warm_start = true;
   /// > 0: stage A really grinds PoW midstates at this difficulty (bits of
   /// leading zeros) per committee — makes formation genuinely CPU-bound and
   /// folds the winning nonces into the epoch digest. 0 uses the calibrated
   /// latency model only.
   int pow_grind_bits = 0;
-  std::size_t final_replicas = 4;  // stage-4 mini-DES committee size
   std::uint64_t seed = 1;          // root of every per-epoch Rng stream
   /// Account-model mode (DESIGN.md §15): stage A generates account-based
   /// traffic for the epoch window, runs the conflict-aware x-shard
@@ -101,7 +109,7 @@ struct EpochReport {
   double window_end = 0.0;   // nominal window edge
   double start = 0.0;        // realized boundary: max(window_end, prev commit)
   double commit = 0.0;       // final-block commit instant
-  bool feasible = false;     // SE found an admissible selection
+  bool feasible = false;     // the policy found an admissible selection
   double utility = 0.0;      // Eq.-(2) utility of the committed selection
   /// Utility of the greedy warm-start seed (NaN when cold or infeasible).
   double warm_seed_utility = 0.0;

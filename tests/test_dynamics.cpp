@@ -1,22 +1,24 @@
 // Tests for the online dynamics harness (Fig. 9/14 machinery) and the
-// cross-epoch carry-over rule (Fig. 3).
+// cross-epoch carry-over rule (Fig. 3), driven through the epoch pipeline.
 
 #include "mvcom/dynamics.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <vector>
 
 #include "common/rng.hpp"
+#include "pipeline/epoch_pipeline.hpp"
+#include "txn/trace_generator.hpp"
 
 namespace {
 
 using mvcom::core::Committee;
 using mvcom::core::DynamicEvent;
 using mvcom::core::DynamicTrace;
-using mvcom::core::EpochChainParams;
 using mvcom::core::EpochInstance;
-using mvcom::core::run_epoch_chain;
 using mvcom::core::run_with_events;
 using mvcom::core::SeParams;
 using mvcom::core::SeScheduler;
@@ -120,33 +122,47 @@ TEST(RunWithEventsTest, ConsecutiveJoinsKeepFeasibility) {
 }
 
 TEST(EpochChainTest, RefusedCommitteesCarryOverWithReducedLatency) {
-  // Two epochs; capacity so tight in epoch 1 that someone must be refused.
-  std::vector<std::vector<Committee>> fresh(2);
-  fresh[0] = make_committees(4, 10);
-  fresh[1] = make_committees(5, 4);
-  std::uint64_t epoch1_total = 0;
-  for (const auto& c : fresh[0]) epoch1_total += c.txs;
+  // Capacity so tight that epoch 0 must refuse someone: the refused shards
+  // re-enter epoch 1's pending set, rebased against a start that is no
+  // earlier than epoch 0's commit — a smaller effective latency.
+  mvcom::common::Rng rng(2016);
+  mvcom::txn::TraceGeneratorConfig tc;
+  tc.num_blocks = 60;
+  tc.target_total_txs = 30'000;
+  tc.mean_interblock_seconds = 15.0;
+  const mvcom::txn::Trace trace = mvcom::txn::generate_trace(tc, rng);
 
-  EpochChainParams params;
-  params.alpha = 1.5;
-  params.capacity = epoch1_total / 2;  // refuse roughly half
-  params.n_min = 2;
-  params.se = SeParams{};
-  params.se.threads = 2;
-  params.se.max_iterations = 2000;
+  mvcom::pipeline::PipelineConfig config;
+  config.committees = 5;
+  config.epochs = 2;
+  config.capacity_fraction = 0.5;  // refuse roughly half
+  config.n_min = 2;
+  config.se.threads = 2;
+  config.se.max_iterations = 2000;
+  config.seed = 7;
 
-  const auto result = run_epoch_chain(fresh, params, 7);
-  ASSERT_EQ(result.epoch_utilities.size(), 2u);
-  ASSERT_EQ(result.refused_counts.size(), 2u);
-  EXPECT_GT(result.refused_counts[0], 0u);
-  EXPECT_GT(result.total_permitted_txs, 0u);
-  EXPECT_GT(result.epoch_utilities[0], 0.0);
+  std::vector<mvcom::pipeline::EpochReport> reports;
+  const auto totals = mvcom::pipeline::EpochPipeline(trace, config).run(
+      [&](const mvcom::pipeline::EpochReport& r) { reports.push_back(r); });
+  ASSERT_EQ(reports.size(), 2u);
+  const auto& first = reports[0];
+  const auto& second = reports[1];
+  EXPECT_GT(first.carried_txs, 0u);
+  EXPECT_GT(first.committed_txs, 0u);
+  EXPECT_GT(first.utility, 0.0);
+  const std::size_t refused = first.shards_pending - first.shards_committed;
+  ASSERT_GT(refused, 0u);
+  // Epoch 1 schedules its fresh committees plus every shard refused at 0.
+  EXPECT_EQ(second.shards_pending, refused + config.committees);
+  EXPECT_GE(second.start, first.commit);
+  EXPECT_EQ(totals.ingested_txs, totals.committed_txs + totals.pending_txs);
 }
 
 TEST(EpochChainTest, EmptyScheduleYieldsEmptyResult) {
-  const auto result = run_epoch_chain({}, EpochChainParams{}, 1);
-  EXPECT_TRUE(result.epoch_utilities.empty());
-  EXPECT_EQ(result.total_permitted_txs, 0u);
+  // No blocks, no epochs: the pipeline refuses the input up front.
+  const mvcom::txn::Trace empty;
+  EXPECT_THROW(mvcom::pipeline::EpochPipeline(empty, {}),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -429,8 +429,9 @@ TEST(EarlyShutdownFlushTest, StoppedServeRunExportsValidArtifacts) {
       << error;
   const auto csv =
       mvcom::common::read_csv(dir / "metrics.csv", /*expect_header=*/true);
-  EXPECT_FALSE(csv.rows.empty());
   if (mvcom::obs::kEnabled) {
+    // A compiled-out registry legitimately exports a header-only CSV.
+    EXPECT_FALSE(csv.rows.empty());
     bool saw_epoch_counter = false;
     for (const auto& row : csv.rows) {
       if (row[0] == "mvcom_pipeline_epochs_total") saw_epoch_counter = true;

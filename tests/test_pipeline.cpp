@@ -17,6 +17,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include "mvcom/se_scheduler.hpp"
@@ -28,6 +30,7 @@ namespace {
 using mvcom::common::Rng;
 using mvcom::pipeline::EpochPipeline;
 using mvcom::pipeline::EpochReport;
+using mvcom::pipeline::FinalPolicy;
 using mvcom::pipeline::PipelineConfig;
 using mvcom::pipeline::PipelineTotals;
 using mvcom::txn::Trace;
@@ -71,41 +74,80 @@ RunRecord run_pipeline(const Trace& trace, PipelineConfig config) {
 
 TEST(PipelineDeterminism, OverlapAndWorkersNeverChangeResults) {
   const Trace trace = small_trace();
-  const PipelineConfig base = small_config();
+  for (const FinalPolicy policy :
+       {FinalPolicy::kMvcomSe, FinalPolicy::kThroughputDp,
+        FinalPolicy::kWaitAll}) {
+    SCOPED_TRACE("policy " + std::to_string(static_cast<int>(policy)));
+    PipelineConfig base = small_config();
+    base.policy = policy;
 
-  PipelineConfig ref_config = base;
-  ref_config.overlap_depth = 1;
-  ref_config.workers = 0;
-  const RunRecord ref = run_pipeline(trace, ref_config);
-  ASSERT_EQ(ref.reports.size(), base.epochs);
+    PipelineConfig ref_config = base;
+    ref_config.overlap_depth = 1;
+    ref_config.workers = 0;
+    const RunRecord ref = run_pipeline(trace, ref_config);
+    ASSERT_EQ(ref.reports.size(), base.epochs);
 
-  for (const std::size_t depth : {std::size_t{1}, std::size_t{2}}) {
-    for (const std::size_t workers :
-         {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-      PipelineConfig config = base;
-      config.overlap_depth = depth;
-      config.workers = workers;
-      const RunRecord got = run_pipeline(trace, config);
-      ASSERT_EQ(got.reports.size(), ref.reports.size())
-          << "depth=" << depth << " workers=" << workers;
-      for (std::size_t e = 0; e < ref.reports.size(); ++e) {
-        const EpochReport& a = ref.reports[e];
-        const EpochReport& b = got.reports[e];
-        EXPECT_EQ(a.event_order_digest, b.event_order_digest)
-            << "epoch " << e << " depth=" << depth << " workers=" << workers;
-        EXPECT_EQ(a.utility, b.utility) << "epoch " << e;
-        EXPECT_EQ(a.total_age, b.total_age) << "epoch " << e;
-        EXPECT_EQ(a.committed_txs, b.committed_txs) << "epoch " << e;
-        EXPECT_EQ(a.carried_txs, b.carried_txs) << "epoch " << e;
-        EXPECT_EQ(a.start, b.start) << "epoch " << e;
-        EXPECT_EQ(a.commit, b.commit) << "epoch " << e;
-        EXPECT_EQ(a.des_events, b.des_events) << "epoch " << e;
+    for (const std::size_t depth : {std::size_t{1}, std::size_t{2}}) {
+      for (const std::size_t workers :
+           {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+        PipelineConfig config = base;
+        config.overlap_depth = depth;
+        config.workers = workers;
+        const RunRecord got = run_pipeline(trace, config);
+        ASSERT_EQ(got.reports.size(), ref.reports.size())
+            << "depth=" << depth << " workers=" << workers;
+        for (std::size_t e = 0; e < ref.reports.size(); ++e) {
+          const EpochReport& a = ref.reports[e];
+          const EpochReport& b = got.reports[e];
+          EXPECT_EQ(a.event_order_digest, b.event_order_digest)
+              << "epoch " << e << " depth=" << depth << " workers=" << workers;
+          EXPECT_EQ(a.utility, b.utility) << "epoch " << e;
+          EXPECT_EQ(a.total_age, b.total_age) << "epoch " << e;
+          EXPECT_EQ(a.committed_txs, b.committed_txs) << "epoch " << e;
+          EXPECT_EQ(a.carried_txs, b.carried_txs) << "epoch " << e;
+          EXPECT_EQ(a.start, b.start) << "epoch " << e;
+          EXPECT_EQ(a.commit, b.commit) << "epoch " << e;
+          EXPECT_EQ(a.des_events, b.des_events) << "epoch " << e;
+        }
+        EXPECT_EQ(got.totals.digest, ref.totals.digest);
+        EXPECT_EQ(got.totals.committed_txs, ref.totals.committed_txs);
+        EXPECT_EQ(got.totals.pending_txs, ref.totals.pending_txs);
+        EXPECT_EQ(got.totals.total_age, ref.totals.total_age);
       }
-      EXPECT_EQ(got.totals.digest, ref.totals.digest);
-      EXPECT_EQ(got.totals.committed_txs, ref.totals.committed_txs);
-      EXPECT_EQ(got.totals.pending_txs, ref.totals.pending_txs);
-      EXPECT_EQ(got.totals.total_age, ref.totals.total_age);
     }
+  }
+}
+
+TEST(PipelineDeterminism, PinnedSeDigest) {
+  // The SE path's witnesses, pinned as constants: any change to dealing,
+  // latency draws, the carry order, SE, stage 4 or the digest fold shows up
+  // here, not only as a mismatch between two runs of the same code.
+  constexpr std::uint64_t kEpochDigests[] = {
+      0x459a34b7ef4f23b1ULL, 0x86ff7e914bab4d58ULL, 0x61f6fdd5e741a61bULL,
+      0x768020230cde6d77ULL};
+  constexpr std::uint64_t kTotalsDigest = 0x278cea2ab11bd266ULL;
+  const RunRecord rec = run_pipeline(small_trace(), small_config());
+  ASSERT_EQ(rec.reports.size(), std::size(kEpochDigests));
+  for (std::size_t e = 0; e < rec.reports.size(); ++e) {
+    EXPECT_EQ(rec.reports[e].event_order_digest, kEpochDigests[e])
+        << "epoch " << e << " digest 0x" << std::hex
+        << rec.reports[e].event_order_digest;
+  }
+  EXPECT_EQ(rec.totals.digest, kTotalsDigest)
+      << "totals digest 0x" << std::hex << rec.totals.digest;
+}
+
+TEST(PipelinePolicy, WaitAllCommitsEveryShardItIngests) {
+  PipelineConfig config = small_config();
+  config.policy = FinalPolicy::kWaitAll;
+  const RunRecord rec = run_pipeline(small_trace(), config);
+  EXPECT_EQ(rec.totals.pending_txs, 0u);
+  EXPECT_EQ(rec.totals.max_shard_carries, 0u);
+  EXPECT_EQ(rec.totals.committed_txs, rec.totals.ingested_txs);
+  for (const EpochReport& r : rec.reports) {
+    EXPECT_TRUE(r.feasible);
+    EXPECT_EQ(r.shards_committed, r.shards_pending);
+    EXPECT_EQ(r.se_iterations, 0u);
   }
 }
 
