@@ -16,7 +16,10 @@ namespace mvcom::fabric {
 
 namespace {
 constexpr int kHelloTimeoutMs = 30000;
-}
+/// Replacement-fork budget across the fabric's lifetime; exceeding it
+/// throws (a worker crashing deterministically would loop forever).
+constexpr std::size_t kMaxRespawns = 16;
+}  // namespace
 
 ProcessFabric::ProcessFabric(FabricConfig config, obs::ObsContext obs)
     : config_(config), obs_(obs) {
@@ -180,7 +183,7 @@ void ProcessFabric::execute(std::vector<sharding::LaneTask>& tasks,
       // Crash path: reap, respawn, replay the identical batch. Lanes are
       // pure in their task, so the replacement's results are bitwise-equal
       // to what the dead worker would have sent.
-      if (respawns_ >= config_.max_respawns) {
+      if (respawns_ >= kMaxRespawns) {
         throw std::runtime_error(
             "ProcessFabric: worker respawn budget exhausted");
       }

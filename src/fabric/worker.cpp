@@ -1,5 +1,6 @@
 #include "fabric/worker.hpp"
 
+#include <cstdio>
 #include <map>
 #include <string>
 #include <vector>
@@ -98,8 +99,11 @@ int run_worker_loop(Channel& channel, const WorkerOptions& options) noexcept {
     channel.queue_frame(FrameType::kResultBatch, payload);
     if (!channel.flush()) return 0;  // coordinator died mid-epoch
 
-    if (!options.metrics_path.empty()) {
-      obs::write_prometheus_text(registry, options.metrics_path);
+    std::string error;
+    if (!options.metrics_path.empty() &&
+        !obs::write_prometheus_text(registry, options.metrics_path, &error)) {
+      std::fprintf(stderr, "fabric worker %u: metrics export failed: %s\n",
+                   options.index, error.c_str());
     }
   }
 }

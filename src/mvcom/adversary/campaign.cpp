@@ -5,6 +5,7 @@
 #include <span>
 
 #include "common/fnv.hpp"
+#include "txn/workload.hpp"
 
 namespace mvcom::core {
 
@@ -34,7 +35,7 @@ struct Fnv {
 CampaignResult run_adversarial_campaign(const txn::Trace& trace,
                                         const CampaignConfig& config,
                                         std::uint64_t seed) {
-  txn::WorkloadConfig wc = config.workload;
+  txn::WorkloadConfig wc;
   wc.num_committees = config.committees + config.reserve;
   const txn::WorkloadGenerator gen(trace, wc);
   const Adversary adversary(config.adversary, seed);

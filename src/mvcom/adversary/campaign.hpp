@@ -24,7 +24,6 @@
 #include "mvcom/adversary/adversary.hpp"
 #include "mvcom/fault_injection.hpp"
 #include "txn/trace.hpp"
-#include "txn/workload.hpp"
 
 namespace mvcom::core {
 
@@ -34,7 +33,6 @@ struct CampaignConfig {
   /// taken as given.
   ChaosConfig chaos{};
   AdversaryConfig adversary{};
-  txn::WorkloadConfig workload{};  // num_committees is overridden
   std::size_t epochs = 6;
   std::size_t committees = 20;
   /// Join-reserve pool size per epoch (churn-storm needs > 0).

@@ -8,11 +8,11 @@
 
 namespace mvcom::core {
 
-Admission DdlPolicy::admit(std::span<const txn::ShardReport> reports) const {
+DdlAdmission DdlPolicy::admit(std::span<const txn::ShardReport> reports) const {
   if (reports.empty()) {
     throw std::invalid_argument("DdlPolicy::admit: no reports");
   }
-  Admission result;
+  DdlAdmission result;
   result.deadline = deadline(reports);
   for (const txn::ShardReport& r : reports) {
     if (r.two_phase_latency() <= result.deadline) {
@@ -54,7 +54,7 @@ double PercentileDdl::deadline(
 std::optional<EpochInstance> make_instance_with_ddl(
     std::span<const txn::ShardReport> reports, const DdlPolicy& policy,
     double alpha, std::uint64_t capacity, std::size_t n_min) {
-  const Admission admission = policy.admit(reports);
+  const DdlAdmission admission = policy.admit(reports);
   if (admission.admitted.empty()) return std::nullopt;
   return EpochInstance::from_reports(admission.admitted, alpha, capacity,
                                      n_min, admission.deadline);

@@ -22,7 +22,7 @@
 namespace mvcom::core {
 
 /// Result of applying a DDL policy to the arrived committee reports.
-struct Admission {
+struct DdlAdmission {
   double deadline = 0.0;                   // t_j
   std::vector<txn::ShardReport> admitted;  // l_i <= t_j, arrival order kept
   std::size_t stragglers = 0;              // reports refused by the DDL
@@ -37,7 +37,7 @@ class DdlPolicy {
       std::span<const txn::ShardReport> reports) const = 0;
 
   /// Applies the policy: computes t_j and drops stragglers.
-  [[nodiscard]] Admission admit(
+  [[nodiscard]] DdlAdmission admit(
       std::span<const txn::ShardReport> reports) const;
 };
 

@@ -11,6 +11,20 @@
 #include "sim/simulator.hpp"
 
 namespace mvcom::core {
+namespace {
+
+/// Draw ranges of FaultPlan::randomized.
+constexpr double kMinDowntimeSeconds = 60.0;
+constexpr double kMaxDowntimeSeconds = 300.0;
+constexpr double kMaxSlowdown = 8.0;   // straggler factor drawn in (1, max]
+constexpr double kMaxInflation = 4.0;  // misreport factor drawn in (1, max]
+constexpr double kMaxLossProbability = 0.6;
+/// Chaos-run SE iterations per explore tick.
+constexpr std::size_t kIterationsPerTick = 40;
+/// Mean one-way latency of the chaos network's links.
+constexpr double kLinkLatencyMeanSeconds = 2.0;
+
+}  // namespace
 
 const char* to_string(FaultKind kind) noexcept {
   switch (kind) {
@@ -28,8 +42,7 @@ const char* to_string(FaultKind kind) noexcept {
 }
 
 FaultPlan FaultPlan::randomized(const FaultPlanConfig& config,
-                                std::size_t num_committees, common::Rng& rng,
-                                std::size_t num_reserve) {
+                                std::size_t num_committees, common::Rng& rng) {
   FaultPlan plan;
   const auto draw = [&](FaultKind kind, std::size_t count) {
     for (std::size_t k = 0; k < count; ++k) {
@@ -38,33 +51,24 @@ FaultPlan FaultPlan::randomized(const FaultPlanConfig& config,
       // Live-rank targeting: with no churn events the live order equals the
       // input order, so these plans reproduce the pre-churn harness exactly.
       event.victim = FaultEvent::Victim::kByLiveRank;
-      event.committee_id = kind == FaultKind::kJoin
-                               ? static_cast<std::uint32_t>(
-                                     rng.below(std::max<std::size_t>(
-                                         1, num_reserve)))
-                               : static_cast<std::uint32_t>(
-                                     rng.below(num_committees));
-      event.at_seconds = rng.uniform(0.0, config.horizon_seconds);
-      event.duration_seconds = rng.uniform(config.min_downtime_seconds,
-                                           config.max_downtime_seconds);
+      event.committee_id =
+          static_cast<std::uint32_t>(rng.below(num_committees));
+      event.at_seconds = rng.uniform(0.0, kFaultHorizonSeconds);
+      event.duration_seconds =
+          rng.uniform(kMinDowntimeSeconds, kMaxDowntimeSeconds);
       switch (kind) {
         case FaultKind::kStragglerDelay:
-          event.magnitude = rng.uniform(1.0, config.max_slowdown);
+          event.magnitude = rng.uniform(1.0, kMaxSlowdown);
           break;
         case FaultKind::kMisreport:
         case FaultKind::kEquivocate:
-        case FaultKind::kForgeSubmission:
-          event.magnitude = rng.uniform(1.0 + 1e-3, config.max_inflation);
+          event.magnitude = rng.uniform(1.0 + 1e-3, kMaxInflation);
           break;
         case FaultKind::kMessageLossBurst:
-          event.magnitude = rng.uniform(0.0, config.max_loss_probability);
+          event.magnitude = rng.uniform(0.0, kMaxLossProbability);
           break;
-        case FaultKind::kCrash:
-        case FaultKind::kCrashRecover:
-        case FaultKind::kJoin:
-        case FaultKind::kLeave:
-          event.magnitude = 1.0;
-          break;
+        default:
+          break;  // crashes keep magnitude 1.0
       }
       plan.events.push_back(event);
     }
@@ -75,9 +79,6 @@ FaultPlan FaultPlan::randomized(const FaultPlanConfig& config,
   draw(FaultKind::kMisreport, config.misreports);
   draw(FaultKind::kEquivocate, config.equivocations);
   draw(FaultKind::kMessageLossBurst, config.loss_bursts);
-  draw(FaultKind::kForgeSubmission, config.forgeries);
-  draw(FaultKind::kJoin, num_reserve > 0 ? config.joins : 0);
-  draw(FaultKind::kLeave, config.leaves);
   std::sort(plan.events.begin(), plan.events.end(),
             [](const FaultEvent& a, const FaultEvent& b) {
               return a.at_seconds < b.at_seconds;
@@ -150,7 +151,7 @@ ChaosReport run_chaos_epoch(const std::vector<ChaosCommittee>& committees,
   net::Network network(
       simulator, root.fork(),
       std::make_shared<net::ExponentialLatency>(
-          common::SimTime(config.link_latency_mean_seconds)),
+          common::SimTime(kLinkLatencyMeanSeconds)),
       total_members + 1);
   const net::NodeId observer = static_cast<net::NodeId>(total_members);
 
@@ -403,7 +404,7 @@ ChaosReport run_chaos_epoch(const std::vector<ChaosCommittee>& committees,
     }
   };
   std::function<void()> tick = [&] {
-    supervisor.explore(config.iterations_per_tick);
+    supervisor.explore(kIterationsPerTick);
     sample();
     const double next =
         simulator.now().seconds() + config.explore_tick_seconds;

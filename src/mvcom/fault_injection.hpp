@@ -65,6 +65,11 @@ struct FaultEvent {
                                   // their historical by-id aggregate shape
 };
 
+/// Randomized faults are drawn uniformly in [0, kFaultHorizonSeconds).
+inline constexpr double kFaultHorizonSeconds = 1500.0;
+
+/// How many faults of each kind FaultPlan::randomized draws. Forgeries,
+/// joins and leaves are only ever scripted or adversary-driven.
 struct FaultPlanConfig {
   std::size_t crashes = 1;
   std::size_t crash_recovers = 1;
@@ -72,30 +77,19 @@ struct FaultPlanConfig {
   std::size_t misreports = 1;
   std::size_t equivocations = 0;
   std::size_t loss_bursts = 0;
-  std::size_t forgeries = 0;  // kForgeSubmission
-  std::size_t joins = 0;      // drawn only when the run provides a reserve
-  std::size_t leaves = 0;
-  double horizon_seconds = 1500.0;  // faults drawn uniformly in [0, horizon)
-  double min_downtime_seconds = 60.0;
-  double max_downtime_seconds = 300.0;
-  double max_slowdown = 8.0;      // straggler factor drawn in (1, max]
-  double max_inflation = 4.0;     // misreport factor drawn in (1, max]
-  double max_loss_probability = 0.6;
 };
 
 struct FaultPlan {
   std::vector<FaultEvent> events;
 
   /// Draws a randomized schedule: victims are sampled uniformly as live
-  /// ranks over [0, num_committees), times over [0, horizon). With no churn
-  /// the live order equals the input order, so rank targeting reproduces the
-  /// historical by-index behavior bit-for-bit. Join events draw reserve
-  /// slots over [0, num_reserve) (none are drawn when num_reserve == 0).
-  /// Deterministic per rng state — the property tests sweep seeds.
+  /// ranks over [0, num_committees), times over [0, kFaultHorizonSeconds).
+  /// With no churn the live order equals the input order, so rank targeting
+  /// reproduces the historical by-index behavior bit-for-bit. Deterministic
+  /// per rng state — the property tests sweep seeds.
   [[nodiscard]] static FaultPlan randomized(const FaultPlanConfig& config,
                                             std::size_t num_committees,
-                                            common::Rng& rng,
-                                            std::size_t num_reserve = 0);
+                                            common::Rng& rng);
 };
 
 /// One committee as the harness drives it: its honest submission plus the
@@ -117,8 +111,6 @@ struct ChaosConfig {
   SupervisorConfig supervisor{};
   double ddl_seconds = 1800.0;         // when decide() is taken
   double explore_tick_seconds = 20.0;  // SE exploration pump + sampling
-  std::size_t iterations_per_tick = 40;
-  double link_latency_mean_seconds = 2.0;
   /// Committees available to kJoin events. FaultEvent::committee_id indexes
   /// this pool by position; each reserve committee answers pings on the node
   /// after the initial members' (allocated up front — Network's node count

@@ -9,6 +9,12 @@
 #include "obs/trace.hpp"
 
 namespace mvcom::core {
+namespace {
+
+/// SE iterations run opportunistically after every accepted event.
+constexpr std::size_t kIterationsPerEvent = 50;
+
+}  // namespace
 
 OnlineCommitteeScheduler::OnlineCommitteeScheduler(
     OnlineSchedulerConfig config, std::uint64_t seed)
@@ -113,10 +119,10 @@ bool OnlineCommitteeScheduler::on_report(const txn::ShardReport& report) {
   if (scheduler_) {
     scheduler_->add_committee(
         {report.committee_id, report.tx_count, report.two_phase_latency()});
-    explore(config_.iterations_per_event);
+    explore(kIterationsPerEvent);
   } else {
     try_bootstrap();
-    if (scheduler_) explore(config_.iterations_per_event);
+    if (scheduler_) explore(kIterationsPerEvent);
   }
   // Alg. 1 line 29: stop listening once N_max of the members arrived.
   if (reports_.size() >= n_max_count_) listening_ = false;
@@ -141,7 +147,7 @@ void OnlineCommitteeScheduler::on_failure(std::uint32_t committee_id) {
       scheduler_.reset();  // nothing left to schedule over
     } else {
       scheduler_->remove_committee(committee_id);
-      explore(config_.iterations_per_event);
+      explore(kIterationsPerEvent);
     }
   }
 }

@@ -108,13 +108,11 @@ struct SeParams {
   std::size_t threads = 1;  // Γ — parallel execution threads
   SeTransition transition = SeTransition::kChainParallel;
   std::size_t max_iterations = 5000;
-  /// Converged when the best utility improves by less than `tol` over this
-  /// many consecutive iterations ("an empirical number of running
-  /// iterations", §IV-D Check Convergence).
+  /// Converged when the best utility improves by less than
+  /// kConvergenceTol (se_scheduler.cpp) over this many consecutive
+  /// iterations ("an empirical number of running iterations", §IV-D Check
+  /// Convergence).
   std::size_t convergence_window = 300;
-  double convergence_tol = 1e-9;
-  /// Retries when proposing a capacity-feasible swap / initial subset.
-  int feasibility_retries = 16;
   /// Every `share_interval` iterations the Γ threads exchange the best
   /// solution (§IV-D: threads communicate "a very limited state information
   /// such as the RESET signals and the current system utility"): each

@@ -15,6 +15,13 @@ namespace mvcom::core {
 namespace {
 
 constexpr double kBoundSlack = 1e-9;  // float noise in the Theorem-2 check
+/// Ceiling of the backed-off heartbeat interval while a committee is down.
+constexpr double kPingIntervalCapSeconds = 480.0;
+/// Risk-score weights of the risk-adaptive policy.
+constexpr double kRiskPerStrike = 1.0;
+constexpr double kRiskPerFailure = 0.5;  // per detector-declared failure
+/// Cross-epoch decay applied to the risk score when exporting carry.
+constexpr double kRiskCarryDecay = 0.5;
 
 /// Fills the decision fields from a selection already known feasible.
 void fill_decision(SupervisedDecision& out, const EpochInstance& instance,
@@ -129,11 +136,8 @@ EpochSupervisor::EpochSupervisor(SupervisorConfig config, std::uint64_t seed)
       config_.ping_backoff_factor < 1.0) {
     throw std::invalid_argument("EpochSupervisor: bad monitor parameters");
   }
-  if (config_.risk.enabled &&
-      (config_.risk.strike_weight < 0.0 || config_.risk.failure_weight < 0.0 ||
-       config_.risk.escalation_step <= 0.0 ||
-       config_.risk.tighten_step <= 0.0 || config_.risk.carry_decay < 0.0 ||
-       config_.risk.carry_decay > 1.0)) {
+  if (config_.risk.enabled && (config_.risk.escalation_step <= 0.0 ||
+                               config_.risk.tighten_step <= 0.0)) {
     throw std::invalid_argument("EpochSupervisor: bad risk-policy parameters");
   }
 }
@@ -351,8 +355,8 @@ bool EpochSupervisor::on_recovery(std::uint32_t committee_id) {
 
 double EpochSupervisor::risk_score() const noexcept {
   return risk_carry_ +
-         config_.risk.strike_weight * static_cast<double>(strikes_total_) +
-         config_.risk.failure_weight * static_cast<double>(failures_detected_);
+         kRiskPerStrike * static_cast<double>(strikes_total_) +
+         kRiskPerFailure * static_cast<double>(failures_detected_);
 }
 
 bool EpochSupervisor::ban_preserves_liveness() const noexcept {
@@ -458,7 +462,7 @@ SupervisorCarry EpochSupervisor::export_carry() const {
       carry.entries.push_back({id, h.strikes, h.banned});
     }
   }
-  carry.risk = config_.risk.carry_decay * risk_score();
+  carry.risk = kRiskCarryDecay * risk_score();
   return carry;
 }
 
@@ -534,7 +538,7 @@ void EpochSupervisor::probe(std::uint32_t committee_id) {
       // Down: keep checking, but back off exponentially (§V-A timeouts).
       h.ping_interval_seconds =
           std::min(h.ping_interval_seconds * config_.ping_backoff_factor,
-                   config_.ping_interval_cap_seconds);
+                   kPingIntervalCapSeconds);
     }
   } else {
     h.missed_pings = 0;

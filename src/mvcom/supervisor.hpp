@@ -115,13 +115,9 @@ enum class InfeasibleReason {
 /// stationary optimum by at most the best utility on the larger space.
 struct RiskPolicyConfig {
   bool enabled = false;
-  double strike_weight = 1.0;   // risk per strike
-  double failure_weight = 0.5;  // risk per detector-declared failure
   double escalation_step = 2.0; // risk per +1 N_min
   std::size_t boost_cap = 8;    // max N_min raise over the static base
   double tighten_step = 4.0;    // risk per −1 effective max_strikes
-  /// Cross-epoch decay applied to the risk score when exporting carry.
-  double carry_decay = 0.5;
 };
 
 /// Theorem-2 accounting of one risk-adaptive N_min resize, mirroring
@@ -186,7 +182,6 @@ struct SupervisorConfig {
   double ping_timeout_seconds = 12.0;
   int missed_pings_before_failure = 3;   // K
   double ping_backoff_factor = 2.0;      // while the committee is down
-  double ping_interval_cap_seconds = 480.0;
   /// Risk-adaptive committee sizing (disabled by default — the static
   /// supervisor behaves exactly as before).
   RiskPolicyConfig risk{};
@@ -259,8 +254,8 @@ class EpochSupervisor {
   /// risk score seeds the risk-adaptive policy.
   void adopt_carry(const SupervisorCarry& carry);
   /// Exports the state the next epoch's supervisor should adopt: every
-  /// committee with strikes or a ban, plus the risk score decayed by
-  /// RiskPolicyConfig::carry_decay.
+  /// committee with strikes or a ban, plus the risk score decayed by the
+  /// cross-epoch carry factor (kRiskCarryDecay in supervisor.cpp).
   [[nodiscard]] SupervisorCarry export_carry() const;
 
   // -- Introspection -------------------------------------------------------

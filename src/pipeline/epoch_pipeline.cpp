@@ -206,8 +206,6 @@ EpochPipeline::FormedEpoch EpochPipeline::form_epoch(std::size_t epoch) const {
 
   Rng rng = Rng::stream(config_.seed,
                         stream_index(epoch, kFormationSlot));
-  txn::WorkloadConfig wc;
-  wc.num_committees = config_.committees;
   const std::string randomness = epoch_randomness(config_.seed, epoch);
 
   out.formation_digest = kDigestBasis;
@@ -216,7 +214,7 @@ EpochPipeline::FormedEpoch EpochPipeline::form_epoch(std::size_t epoch) const {
     if (s.block_indices.empty()) continue;
     // Committees form as soon as the window closes; submission is absolute
     // so later carries rebase exactly, however far stage 4 overran.
-    s.submit_time = txn::sample_submit_instant(rng, wc, out.window_end);
+    s.submit_time = txn::sample_submit_instant(rng, out.window_end);
     s.id = static_cast<std::uint32_t>(epoch * config_.committees + c);
     s.txs = 0;
     crypto::Sha256 h;
@@ -281,9 +279,6 @@ EpochPipeline::FormedEpoch EpochPipeline::form_epoch_accounts(
   }
 
   Rng rng = Rng::stream(config_.seed, stream_index(epoch, kFormationSlot));
-  txn::WorkloadConfig wc;
-  wc.mode = txn::WorkloadMode::kAccountModel;
-  wc.num_committees = config_.committees;
   const std::string randomness = epoch_randomness(config_.seed, epoch);
 
   out.formation_digest = kDigestBasis;
@@ -296,7 +291,7 @@ EpochPipeline::FormedEpoch EpochPipeline::form_epoch_accounts(
     s.id = static_cast<std::uint32_t>(epoch * config_.committees + c);
     s.txs = tally.committed();  // effective s_i: deferrals already gone
     s.ts_sum = ts_sum[c];
-    s.submit_time = txn::sample_submit_instant(rng, wc, out.window_end);
+    s.submit_time = txn::sample_submit_instant(rng, out.window_end);
     crypto::Sha256 h;
     h.update("xshard|");
     h.update(randomness);

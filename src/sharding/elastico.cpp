@@ -24,6 +24,10 @@ constexpr std::size_t kMinBftMembers = 4;
 constexpr std::uint64_t kDigestBasis = common::kFnv1aBasis;
 using common::fnv1a_mix;
 
+/// Dispersion of per-node hash rates and processing speeds (log-normal
+/// coefficient of variation); the source of straggler committees.
+constexpr double kNodeHeterogeneityCv = 0.35;
+
 }  // namespace
 
 std::vector<txn::ShardReport> EpochOutcome::reports() const {
@@ -80,10 +84,10 @@ ElasticoNetwork::ElasticoNetwork(ElasticoConfig config, Rng rng)
   // Node heterogeneity — fixed per node for the network's lifetime.
   hash_rates_.reserve(config_.num_nodes);
   verify_speeds_.reserve(config_.num_nodes);
-  const double cv = config_.node_heterogeneity_cv;
   for (std::size_t i = 0; i < config_.num_nodes; ++i) {
-    hash_rates_.push_back(cv > 0 ? rng_.lognormal_mean_sd(1.0, cv) : 1.0);
-    verify_speeds_.push_back(cv > 0 ? rng_.lognormal_mean_sd(1.0, cv) : 1.0);
+    hash_rates_.push_back(rng_.lognormal_mean_sd(1.0, kNodeHeterogeneityCv));
+    verify_speeds_.push_back(
+        rng_.lognormal_mean_sd(1.0, kNodeHeterogeneityCv));
   }
   randomness_ = crypto::to_hex(crypto::Sha256::hash("genesis"));
 }
@@ -177,7 +181,7 @@ EpochOutcome ElasticoNetwork::run_epoch(const txn::Trace& trace,
     task.num_nodes = static_cast<std::uint32_t>(config_.num_nodes);
     task.link_latency_mean = config_.link_latency_mean;
     task.message_loss_probability = config_.message_loss_probability;
-    task.overlay_identity_processing = config_.overlay_identity_processing;
+    task.overlay_identity_processing = kOverlayIdentityProcessing;
     task.pbft = config_.pbft;
     task.randomness = randomness_;
     task.formation = formation[c];

@@ -49,6 +49,9 @@ namespace mvcom::sharding {
 using common::Rng;
 using common::SimTime;
 
+/// Per-identity verification cost of the directory (message-level overlay).
+inline constexpr SimTime kOverlayIdentityProcessing = SimTime(0.05);
+
 struct ElasticoConfig {
   std::size_t num_nodes = 256;
   /// Nodes per committee (Elastico's c). The first `committee_size` solvers
@@ -62,9 +65,6 @@ struct ElasticoConfig {
   /// Overlay identity-exchange cost per network node — formation latency
   /// includes `num_nodes * overlay_cost_per_node` (linear in network size).
   SimTime overlay_cost_per_node = SimTime(0.08);
-  /// Dispersion of per-node hash rates and processing speeds (log-normal
-  /// coefficient of variation); the source of straggler committees.
-  double node_heterogeneity_cv = 0.35;
   /// Mean one-way link latency between any two nodes.
   SimTime link_latency_mean = SimTime(2.0);
   consensus::PbftConfig pbft{};
@@ -72,8 +72,6 @@ struct ElasticoConfig {
   /// (sharding/overlay) instead of the closed-form linear model. Slower but
   /// message-accurate; the directory is each committee's first solver.
   bool message_level_overlay = false;
-  /// Per-identity verification cost of the directory (message-level mode).
-  SimTime overlay_identity_processing = SimTime(0.05);
   /// Run stage 5 as the commit-reveal beacon among the final committee
   /// (sharding/randomness) instead of hashing the tip directly.
   bool beacon_randomness = false;

@@ -96,8 +96,8 @@ AccountEpoch AccountTxGenerator::epoch_keyed(std::uint64_t seed,
     tx.sender = zipf_(identity);
     const std::uint32_t home = home_shard(tx.sender, s);
 
-    const std::size_t extra_reads = shape.below(config_.max_extra_reads + 1);
-    const std::size_t extra_writes = shape.below(config_.max_extra_writes + 1);
+    const std::size_t extra_reads = shape.below(kMaxExtraReads + 1);
+    const std::size_t extra_writes = shape.below(kMaxExtraWrites + 1);
     const auto add_partner = [&](std::vector<std::uint32_t>& set) {
       std::uint32_t partner = zipf_(identity);
       if (!identity.bernoulli(config_.cross_shard_ratio)) {

@@ -8,6 +8,14 @@
 #include "crypto/sha256.hpp"
 
 namespace mvcom::txn {
+namespace {
+
+/// Coefficient of variation of per-block TX counts before rescaling.
+constexpr double kTxCountCv = 0.45;
+/// Trace epoch start — 2016-01-01T00:00:00Z, matching the paper's snapshot.
+constexpr double kStartTime = 1451606400.0;
+
+}  // namespace
 
 Trace generate_trace(const TraceGeneratorConfig& config, common::Rng& rng) {
   if (config.num_blocks == 0) {
@@ -26,13 +34,13 @@ Trace generate_trace(const TraceGeneratorConfig& config, common::Rng& rng) {
   std::vector<double> raw(n);
   double raw_sum = 0.0;
   for (auto& r : raw) {
-    r = rng.lognormal_mean_sd(mean_txs, config.tx_count_cv * mean_txs);
+    r = rng.lognormal_mean_sd(mean_txs, kTxCountCv * mean_txs);
     raw_sum += r;
   }
 
   Trace trace;
   trace.blocks.reserve(n);
-  double t = config.start_time;
+  double t = kStartTime;
   std::uint64_t assigned = 0;
   for (std::uint64_t i = 0; i < n; ++i) {
     t += rng.exponential(config.mean_interblock_seconds);

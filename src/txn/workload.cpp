@@ -23,6 +23,19 @@ double EpochWorkload::max_latency() const noexcept {
 
 namespace {
 
+constexpr double kFormationMeanSeconds = 600.0;  // PoW expectation (§VI-A)
+constexpr double kConsensusMeanSeconds = 54.5;   // PBFT expectation (§VI-A)
+/// Erlang stages of the formation latency. A committee is formed when its
+/// c-th member finishes PoW — an order statistic of exponentials that
+/// concentrates around the mean, which Erlang(c) models cleanly. This
+/// matches Fig. 2(b), where formation latency is "randomly distributed
+/// within a particular range" rather than heavy-tailed. (A single
+/// exponential would make the epoch deadline t = max_i l_i an extreme
+/// straggler and the N_min = 50%·|I| online constraint infeasible.)
+constexpr int kFormationStages = 8;
+/// Number of Erlang stages for consensus latency (3 PBFT voting phases).
+constexpr int kConsensusStages = 3;
+
 /// Erlang(k, mean/k): sum of k exponentials — mean preserved, variance
 /// mean²/k.
 double erlang(common::Rng& rng, double mean, int stages) {
@@ -34,22 +47,18 @@ double erlang(common::Rng& rng, double mean, int stages) {
 
 }  // namespace
 
-TwoPhaseLatency sample_two_phase_latency(common::Rng& rng,
-                                         const WorkloadConfig& config) {
+TwoPhaseLatency sample_two_phase_latency(common::Rng& rng) {
   TwoPhaseLatency out;
-  out.formation =
-      erlang(rng, config.formation_mean_seconds, config.formation_stages);
-  out.consensus =
-      erlang(rng, config.consensus_mean_seconds, config.consensus_stages);
+  out.formation = erlang(rng, kFormationMeanSeconds, kFormationStages);
+  out.consensus = erlang(rng, kConsensusMeanSeconds, kConsensusStages);
   return out;
 }
 
-double sample_submit_instant(common::Rng& rng, const WorkloadConfig& config,
-                             double window_close) {
+double sample_submit_instant(common::Rng& rng, double window_close) {
   // Summed left-to-right from window_close: bitwise-identical to the
   // historical inline `window_close + lat.formation + lat.consensus`, so
   // adopting the helper never moves a digest or a baseline.
-  const TwoPhaseLatency lat = sample_two_phase_latency(rng, config);
+  const TwoPhaseLatency lat = sample_two_phase_latency(rng);
   return window_close + lat.formation + lat.consensus;
 }
 
@@ -62,10 +71,6 @@ WorkloadGenerator::WorkloadGenerator(Trace trace, WorkloadConfig config)
     throw std::invalid_argument(
         "WorkloadGenerator: more committees than trace blocks — every shard "
         "must contain at least one block");
-  }
-  if (config_.consensus_stages < 1 || config_.formation_stages < 1) {
-    throw std::invalid_argument(
-        "WorkloadGenerator: latency Erlang stages must be >= 1");
   }
 }
 
@@ -95,7 +100,7 @@ EpochWorkload WorkloadGenerator::epoch(common::Rng& rng) const {
   }
 
   for (ShardReport& r : workload.reports) {
-    const TwoPhaseLatency lat = sample_two_phase_latency(rng, config_);
+    const TwoPhaseLatency lat = sample_two_phase_latency(rng);
     r.formation_latency = lat.formation;
     r.consensus_latency = lat.consensus;
   }
@@ -141,7 +146,7 @@ EpochWorkload WorkloadGenerator::epoch_from_window(std::size_t epoch_index,
     workload.reports[rng.below(m)].tx_count += it->tx_count;
   }
   for (ShardReport& r : workload.reports) {
-    const TwoPhaseLatency lat = sample_two_phase_latency(rng, config_);
+    const TwoPhaseLatency lat = sample_two_phase_latency(rng);
     r.formation_latency = lat.formation;
     r.consensus_latency = lat.consensus;
   }

@@ -17,6 +17,8 @@ using mvcom::txn::AccountModelConfig;
 using mvcom::txn::AccountTx;
 using mvcom::txn::AccountTxGenerator;
 using mvcom::txn::home_shard;
+using mvcom::txn::kMaxExtraReads;
+using mvcom::txn::kMaxExtraWrites;
 
 AccountModelConfig small_config() {
   AccountModelConfig config;
@@ -101,8 +103,8 @@ TEST(AccountModelTest, StructuralInvariantsHold) {
             << "duplicate account " << account << " in tx " << tx.tx_id;
       }
     });
-    EXPECT_LE(tx.reads.size(), config.max_extra_reads);
-    EXPECT_LE(tx.writes.size(), config.max_extra_writes);
+    EXPECT_LE(tx.reads.size(), kMaxExtraReads);
+    EXPECT_LE(tx.writes.size(), kMaxExtraWrites);
   }
 }
 

@@ -4,9 +4,10 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+
+#include "test_temp_dir.hpp"
 
 namespace {
 
@@ -18,13 +19,8 @@ using mvcom::common::read_csv;
 
 class CsvTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("mvcom-csv-" + std::to_string(std::rand()));
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-  std::filesystem::path dir_;
+  TestTempDir tmp_;
+  const std::filesystem::path& dir_ = tmp_.path();
 };
 
 TEST(ParseCsvLineTest, SplitsFields) {

@@ -4,8 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include "mvcom/supervisor.hpp"
+#include "sharding/verification.hpp"
+
 namespace {
 
+using mvcom::core::Admission;
+using mvcom::core::DdlAdmission;
 using mvcom::core::FixedDdl;
 using mvcom::core::make_instance_with_ddl;
 using mvcom::core::MaxLatencyDdl;
@@ -30,7 +35,7 @@ std::vector<ShardReport> reports_with_latencies(
 TEST(MaxLatencyDdlTest, AdmitsEveryoneAtTheMax) {
   const auto reports = reports_with_latencies({800, 900, 1200, 1000});
   MaxLatencyDdl policy;
-  const auto admission = policy.admit(reports);
+  const DdlAdmission admission = policy.admit(reports);
   EXPECT_DOUBLE_EQ(admission.deadline, 1200.0);
   EXPECT_EQ(admission.admitted.size(), 4u);
   EXPECT_EQ(admission.stragglers, 0u);
@@ -78,6 +83,28 @@ TEST(FixedDdlTest, CutoffIsLiteral) {
 TEST(DdlPolicyTest, EmptyReportsThrow) {
   MaxLatencyDdl policy;
   EXPECT_THROW(policy.admit({}), std::invalid_argument);
+}
+
+TEST(DdlPolicyTest, FiltersTheSupervisorsAdmittedReports) {
+  // The supervisor's admission verdict (core::Admission) and the DDL's
+  // deadline cut (core::DdlAdmission) are separate types in one namespace:
+  // a translation unit that uses both must compile.
+  mvcom::core::SupervisorConfig config;
+  config.scheduler.capacity = 4000;
+  config.scheduler.expected_committees = 4;
+  mvcom::core::EpochSupervisor supervisor(config, 1);
+  for (std::uint32_t id = 0; id < 3; ++id) {
+    const auto submission = mvcom::sharding::build_submission(
+        id, {{"shard-" + std::to_string(id), 600}});
+    const double formation = 100.0 * (id + 1);
+    EXPECT_EQ(supervisor.on_submission(submission, formation, 0.0),
+              Admission::kAdmitted);
+  }
+  const DdlAdmission admission =
+      FixedDdl(250.0).admit(supervisor.scheduler().reports());
+  ASSERT_EQ(admission.admitted.size(), 2u);
+  EXPECT_EQ(admission.admitted[1].committee_id, 1u);
+  EXPECT_EQ(admission.stragglers, 1u);
 }
 
 TEST(MakeInstanceWithDdlTest, StragglersNeverEnterTheInstance) {

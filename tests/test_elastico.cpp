@@ -20,6 +20,7 @@ using mvcom::sharding::deal_blocks;
 using mvcom::sharding::ElasticoConfig;
 using mvcom::sharding::ElasticoNetwork;
 using mvcom::sharding::EpochOutcome;
+using mvcom::sharding::kOverlayIdentityProcessing;
 using mvcom::txn::generate_trace;
 using mvcom::txn::Trace;
 using mvcom::txn::TraceGeneratorConfig;
@@ -239,7 +240,7 @@ TEST(ElasticoTest, MessageLevelOverlayProducesCommittedEpochs) {
       // identity scan — it must exceed the bare PoW order statistic.
       EXPECT_GT(c.formation_latency.seconds(),
                 static_cast<double>(config.num_nodes) *
-                    config.overlay_identity_processing.seconds());
+                    kOverlayIdentityProcessing.seconds());
     }
   }
   EXPECT_GE(committed, network.num_member_committees() / 2);

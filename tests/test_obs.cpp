@@ -8,6 +8,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -268,6 +269,39 @@ TEST(TraceRecorderTest, MergePreservesRelativeOrder) {
   EXPECT_STREQ(events[0].name, "a");
   EXPECT_STREQ(events[1].name, "b");
   EXPECT_LT(events[0].seq, events[1].seq);
+}
+
+TEST(ExportWriterTest, WritesTheValidatedRenderOrReportsWhy) {
+  MetricsRegistry registry;
+  registry.counter("writes_total", "Writes").add(2);
+  TraceRecorder recorder(4);
+  recorder.instant("tick", "w");
+  const std::filesystem::path dir(::testing::TempDir());
+  const auto read = [](const std::filesystem::path& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+
+  std::string error;
+  const auto prom = dir / "export_writer_test.prom";
+  ASSERT_TRUE(mvcom::obs::write_prometheus_text(registry, prom, &error))
+      << error;
+  EXPECT_EQ(read(prom), mvcom::obs::to_prometheus_text(registry));
+  const auto json = dir / "export_writer_test.json";
+  ASSERT_TRUE(mvcom::obs::write_chrome_trace_json(recorder, json, &error))
+      << error;
+  EXPECT_EQ(read(json), mvcom::obs::to_chrome_trace_json(recorder.snapshot()));
+  std::filesystem::remove(prom);
+  std::filesystem::remove(json);
+
+  // An I/O failure is a false return naming the path, never an exception.
+  const auto unwritable = dir / "export-writer-missing-dir" / "x.prom";
+  EXPECT_FALSE(mvcom::obs::write_prometheus_text(registry, unwritable, &error));
+  EXPECT_NE(error.find(unwritable.string()), std::string::npos) << error;
+  error.clear();
+  EXPECT_FALSE(
+      mvcom::obs::write_chrome_trace_json(recorder, unwritable, &error));
+  EXPECT_NE(error.find(unwritable.string()), std::string::npos) << error;
 }
 
 TEST(ChromeTraceExportTest, ValidJsonWithDualClockPids) {

@@ -12,6 +12,8 @@
 #include "txn/trace_io.hpp"
 #include "txn/workload.hpp"
 
+#include "test_temp_dir.hpp"
+
 namespace {
 
 using mvcom::common::Rng;
@@ -24,20 +26,6 @@ using mvcom::txn::TraceGeneratorConfig;
 using mvcom::txn::WorkloadConfig;
 using mvcom::txn::WorkloadGenerator;
 using mvcom::txn::write_trace_csv;
-
-class TempDir {
- public:
-  TempDir() {
-    path_ = std::filesystem::temp_directory_path() /
-            ("mvcom-test-" + std::to_string(std::rand()));
-    std::filesystem::create_directories(path_);
-  }
-  ~TempDir() { std::filesystem::remove_all(path_); }
-  [[nodiscard]] std::filesystem::path path() const { return path_; }
-
- private:
-  std::filesystem::path path_;
-};
 
 TEST(TraceGeneratorTest, PaperCalibration) {
   // §VI-A: 1378 blocks sampled from the first 1.5M TXs of January 2016.
@@ -111,7 +99,7 @@ TEST(TraceIoTest, RoundtripPreservesEverything) {
   config.num_blocks = 50;
   config.target_total_txs = 50'000;
   const Trace trace = generate_trace(config, rng);
-  TempDir dir;
+  TestTempDir dir;
   const auto path = dir.path() / "trace.csv";
   write_trace_csv(trace, path);
   const Trace loaded = load_trace_csv(path);
@@ -136,7 +124,7 @@ TEST(TraceIoTest, AccountTxRoundtripPreservesEverything) {
   config.cross_shard_ratio = 0.4;
   const mvcom::txn::AccountTxGenerator gen(config);
   const auto epoch = gen.epoch_keyed(7, 1);
-  TempDir dir;
+  TestTempDir dir;
   const auto path = dir.path() / "accounts.csv";
   mvcom::txn::write_account_txs_csv(epoch.txs, path);
   const auto loaded = mvcom::txn::load_account_txs_csv(path);
@@ -159,7 +147,7 @@ TEST(TraceIoTest, AccountTxEmptySetsSurviveTheRoundtrip) {
   txs[1].timestamp = 11.0;
   txs[1].sender = 7;
   txs[1].writes = {1, 2, 3};
-  TempDir dir;
+  TestTempDir dir;
   const auto path = dir.path() / "sparse.csv";
   mvcom::txn::write_account_txs_csv(txs, path);
   const auto loaded = mvcom::txn::load_account_txs_csv(path);
@@ -261,26 +249,23 @@ TEST(WorkloadTest, SubmitInstantMatchesInlineLatencySum) {
   // it onto the window edge left-to-right (bitwise, so digests never move).
   Rng a(14);
   Rng b(14);
-  WorkloadConfig wc;
   const double window_close = 1234.5;
   for (int i = 0; i < 100; ++i) {
-    const double instant =
-        mvcom::txn::sample_submit_instant(a, wc, window_close);
-    const auto lat = sample_two_phase_latency(b, wc);
+    const double instant = mvcom::txn::sample_submit_instant(a, window_close);
+    const auto lat = sample_two_phase_latency(b);
     EXPECT_EQ(instant, window_close + lat.formation + lat.consensus);
   }
   EXPECT_EQ(a(), b());  // engines stayed in lockstep
 }
 
 TEST(WorkloadTest, LatencyMarginalsMatchPaperModel) {
-  // Formation ~ Exp(600 s); consensus ~ Erlang(3) with mean 54.5 s (§VI-A).
+  // Formation has mean 600 s; consensus ~ Erlang(3) with mean 54.5 s (§VI-A).
   Rng rng(10);
-  WorkloadConfig wc;
   double formation_sum = 0.0;
   double consensus_sum = 0.0;
   const int n = 100000;
   for (int i = 0; i < n; ++i) {
-    const auto lat = sample_two_phase_latency(rng, wc);
+    const auto lat = sample_two_phase_latency(rng);
     ASSERT_GE(lat.formation, 0.0);
     ASSERT_GE(lat.consensus, 0.0);
     formation_sum += lat.formation;
