@@ -101,9 +101,9 @@ void BM_SwapSetSwap(benchmark::State& state) {
   mvcom::core::SwapSet set(x);
   Rng rng(5);
   for (auto _ : state) {
-    const auto out = set.sample_selected(rng);
-    const auto in = set.sample_unselected(rng);
-    set.swap(out, in);
+    const auto po = set.sample_selected_slot(rng);
+    const auto pi = set.sample_unselected_slot(rng);
+    set.swap_slots(po, pi);
     benchmark::DoNotOptimize(set);
   }
 }

@@ -106,8 +106,9 @@ class Rng {
     for (double& v : out) v = uniform01();
   }
 
-  /// Uniform integer in [0, n) using Lemire's multiply-shift rejection
-  /// method (unbiased). Precondition: n > 0.
+  /// Uniform integer in [0, n) by bitmask-with-rejection: mask a draw to the
+  /// smallest power of two ≥ n and redraw until it is below n (unbiased,
+  /// under 2 draws expected). Precondition: n > 0.
   std::uint64_t below(std::uint64_t n) noexcept;
 
   /// Uniform integer in [lo, hi] inclusive. Precondition: lo <= hi.

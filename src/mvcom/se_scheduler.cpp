@@ -222,6 +222,24 @@ void SeExplorer::step_block(std::size_t k, SeBlockStats* stats,
   }
 }
 
+inline bool SeExplorer::propose(const SolutionState& sol, Proposal& p) {
+  if (sol.set.selected_count() == 0 || sol.set.unselected_count() == 0) {
+    return false;  // the full-set solution has no swap moves
+  }
+  // Uniform swap candidates, resampled until one keeps Σ s ≤ Ĉ (Cons. 4).
+  const std::uint64_t capacity = instance_->capacity();
+  for (int attempt = 0; attempt < kFeasibilityRetries; ++attempt) {
+    p.po = sol.set.sample_selected_slot(rng_);
+    p.pi = sol.set.sample_unselected_slot(rng_);
+    p.out = sol.set.at(p.po);
+    p.in = sol.set.at(p.pi);
+    p.txs = sol.txs - layout_->txs[p.out] + layout_->txs[p.in];
+    if (p.txs <= capacity) return true;
+  }
+  if constexpr (obs::kEnabled) ++obs_tally_.infeasible;
+  return false;
+}
+
 void SeExplorer::step_chain_parallel() {
   // One Metropolis transition per solution. The per-cardinality chains are
   // independent, and the acceptance ratio min(1, exp(β·ΔU)) equals the
@@ -229,34 +247,18 @@ void SeExplorer::step_chain_parallel() {
   // the Eq.-(6) stationary law — the same chain the timer race realizes,
   // advanced one transition per maintained cardinality per iteration.
   const double beta = params_->beta;
-  const std::uint64_t capacity = instance_->capacity();
   for (SolutionState& sol : solutions_) {
-    if (!sol.active) continue;
-    if (sol.set.selected_count() == 0 || sol.set.unselected_count() == 0) {
-      continue;  // the full-set solution has no swap moves
-    }
-    std::uint32_t out = 0;
-    std::uint32_t in = 0;
-    std::uint64_t new_txs = 0;
-    bool ok = false;
-    for (int attempt = 0; attempt < kFeasibilityRetries && !ok; ++attempt) {
-      out = sol.set.sample_selected(rng_);
-      in = sol.set.sample_unselected(rng_);
-      new_txs = sol.txs - layout_->txs[out] + layout_->txs[in];
-      ok = new_txs <= capacity;
-    }
-    if (!ok) {
-      if constexpr (obs::kEnabled) ++obs_tally_.infeasible;
-      continue;
-    }
-    const double delta = layout_->gain[in] - layout_->gain[out];
-    if (delta < 0.0 && rng_.uniform01() >= std::exp(beta * delta)) {
+    Proposal p;
+    if (!sol.active || !propose(sol, p)) continue;
+    const double delta = layout_->gain[p.in] - layout_->gain[p.out];
+    if (delta < 0.0 &&
+        detail::metropolis_rejects(beta * delta, rng_.uniform01())) {
       if constexpr (obs::kEnabled) ++obs_tally_.rejects;
       continue;  // rejected downhill move
     }
     if constexpr (obs::kEnabled) ++obs_tally_.accepts;
-    sol.set.swap(out, in);
-    sol.txs = new_txs;
+    sol.set.swap_slots(p.po, p.pi);
+    sol.txs = p.txs;
     sol.utility += delta;
   }
 }
@@ -268,7 +270,6 @@ void SeExplorer::step_timer_race() {
   // overflow-free monotone transform of the race.
   const double beta = params_->beta;
   const double tau = params_->tau;
-  const std::uint64_t capacity = instance_->capacity();
 
   // Pass 1 (engine-state sequential): sample one capacity-feasible candidate
   // pair (ĩ, ï) per active solution into the flat scratch arrays.
@@ -279,29 +280,13 @@ void SeExplorer::step_timer_race() {
   cand_delta_.clear();
   for (std::size_t slot = 0; slot < solutions_.size(); ++slot) {
     SolutionState& sol = solutions_[slot];
-    if (!sol.active) continue;
-    if (sol.set.selected_count() == 0 || sol.set.unselected_count() == 0) {
-      continue;  // the full-set solution has no swap moves
-    }
-    std::uint32_t out = 0;
-    std::uint32_t in = 0;
-    std::uint64_t new_txs = 0;
-    bool ok = false;
-    for (int attempt = 0; attempt < kFeasibilityRetries && !ok; ++attempt) {
-      out = sol.set.sample_selected(rng_);
-      in = sol.set.sample_unselected(rng_);
-      new_txs = sol.txs - layout_->txs[out] + layout_->txs[in];
-      ok = new_txs <= capacity;
-    }
-    if (!ok) {
-      if constexpr (obs::kEnabled) ++obs_tally_.infeasible;
-      continue;
-    }
+    Proposal p;
+    if (!sol.active || !propose(sol, p)) continue;
     cand_slot_.push_back(static_cast<std::uint32_t>(slot));
-    cand_out_.push_back(out);
-    cand_in_.push_back(in);
-    cand_txs_.push_back(new_txs);
-    cand_delta_.push_back(layout_->gain[in] - layout_->gain[out]);
+    cand_out_.push_back(p.po);
+    cand_in_.push_back(p.pi);
+    cand_txs_.push_back(p.txs);
+    cand_delta_.push_back(layout_->gain[p.in] - layout_->gain[p.out]);
   }
   if (cand_slot_.empty()) return;  // no solution could move this round
   if constexpr (obs::kEnabled) {
@@ -334,7 +319,7 @@ void SeExplorer::step_timer_race() {
   }
   if constexpr (obs::kEnabled) ++obs_tally_.accepts;
   SolutionState& sol = solutions_[cand_slot_[win]];
-  sol.set.swap(cand_out_[win], cand_in_[win]);
+  sol.set.swap_slots(cand_out_[win], cand_in_[win]);
   sol.txs = cand_txs_[win];
   sol.utility += cand_delta_[win];
 }

@@ -83,6 +83,19 @@ namespace detail {
   return std::log(-std::log1p(-u));
 }
 
+/// Below this log-acceptance β·ΔU the Metropolis test u >= exp(β·ΔU) cannot
+/// accept: exp(−37) ≈ 8.5·10⁻¹⁷ is under 2⁻⁵³, the smallest nonzero
+/// Rng::uniform01() output.
+inline constexpr double kNegligibleLogAcceptance = -37.0;
+
+/// The Metropolis rejection u >= exp(x) of a downhill move with
+/// log-acceptance x, decided without exp() when x < kNegligibleLogAcceptance
+/// and u != 0 — bitwise the same decision for every uniform01() draw u.
+[[nodiscard]] inline bool metropolis_rejects(double x, double u) noexcept {
+  if (x < kNegligibleLogAcceptance && u != 0.0) return true;
+  return u >= std::exp(x);
+}
+
 }  // namespace detail
 
 /// How one scheduler iteration advances the solution family {f_n}. Both
@@ -273,6 +286,20 @@ class SeExplorer {
   void initialize_solution(SolutionState& sol, std::uint32_t n);
   void recompute(SolutionState& sol);
 
+  /// A capacity-feasible swap candidate: the SwapSet slots on each side of
+  /// the boundary, the committees in them, and Σ s after the swap.
+  struct Proposal {
+    std::uint32_t po = 0;
+    std::uint32_t pi = 0;
+    std::uint32_t out = 0;
+    std::uint32_t in = 0;
+    std::uint64_t txs = 0;
+  };
+  /// Samples up to kFeasibilityRetries candidates for `sol`; false when a
+  /// side is empty (no swap exists) or, with an infeasible tally, when no
+  /// candidate fits Ĉ.
+  bool propose(const SolutionState& sol, Proposal& p);
+
   void step_timer_race();
   void step_chain_parallel();
 
@@ -302,8 +329,8 @@ class SeExplorer {
   std::vector<std::uint32_t> scratch_pool_;   // permutation for subset draws
   std::vector<std::uint32_t> scratch_members_;  // nth_element workspace
   std::vector<std::uint32_t> cand_slot_;      // timer race: candidate slots
-  std::vector<std::uint32_t> cand_out_;
-  std::vector<std::uint32_t> cand_in_;
+  std::vector<std::uint32_t> cand_out_;       // SwapSet slots, selected side
+  std::vector<std::uint32_t> cand_in_;        // SwapSet slots, unselected side
   std::vector<std::uint64_t> cand_txs_;
   std::vector<double> cand_delta_;
   std::vector<double> cand_u_;                // batched Exp(1) timer draws

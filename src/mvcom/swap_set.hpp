@@ -4,18 +4,23 @@
 // sampling from either side and O(1) swap (the state transition of Alg. 3,
 // which flips exactly one x_i from 1 to 0 and another from 0 to 1).
 //
-// Layout: one permutation array `items_` whose first n entries are the
-// selected committees and whose remaining I−n entries are the unselected
-// ones, plus the inverse permutation `pos_`. A swap exchanges one entry on
-// each side of the n boundary — two stores per array, no push/pop — and a
-// side-membership test is a single comparison (pos_[i] < n). Two flat
-// arrays instead of the previous four keeps a 50k-committee solution at
-// 8 bytes per committee, which is what lets an SeExplorer hold hundreds of
-// parallel solutions at I = 50'000 without blowing the cache or the heap.
+// Layout: one permutation array `items_` whose first n entries (slots) are
+// the selected committees and whose remaining I−n slots are the unselected
+// ones. The chain step works in slots, not committee ids: it draws a slot on
+// each side of the n boundary, reads the two committees with at(), and an
+// accepted move exchanges the two slots — two stores, no push/pop. There is
+// no inverse permutation: nothing on the hot path asks "where is committee
+// i?", and the one caller that asks "is i selected?" (a leave's rebind,
+// already O(|I|) per chain) scans selected(). That keeps a solution at
+// 4 bytes per committee — at |I| = 50k with the 1024-chain family, about
+// 205 MB per explorer instead of 410 MB — and halves the memory the chain
+// step touches.
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -36,7 +41,6 @@ class SwapSet {
   void rebuild(const Selection& x) {
     const auto total = static_cast<std::uint32_t>(x.size());
     items_.resize(total);
-    pos_.resize(total);
     n_ = 0;
     for (std::uint32_t i = 0; i < total; ++i) {
       if (x[i]) ++n_;
@@ -44,9 +48,7 @@ class SwapSet {
     std::uint32_t sel = 0;
     std::uint32_t unsel = n_;
     for (std::uint32_t i = 0; i < total; ++i) {
-      const std::uint32_t p = x[i] ? sel++ : unsel++;
-      items_[p] = i;
-      pos_[i] = p;
+      items_[x[i] ? sel++ : unsel++] = i;
     }
   }
 
@@ -55,30 +57,34 @@ class SwapSet {
   [[nodiscard]] std::size_t unselected_count() const noexcept {
     return items_.size() - n_;
   }
+  /// O(selected_count()) scan — only the leave path asks.
   [[nodiscard]] bool contains(std::uint32_t i) const {
-    return pos_[i] < n_;
+    const auto sel = selected();
+    return std::find(sel.begin(), sel.end(), i) != sel.end();
   }
 
-  /// Uniform random selected element. Precondition: selected_count() > 0.
-  [[nodiscard]] std::uint32_t sample_selected(common::Rng& rng) const {
+  /// Uniform random slot on the selected side, [0, n).
+  /// Precondition: selected_count() > 0.
+  [[nodiscard]] std::uint32_t sample_selected_slot(common::Rng& rng) const {
     assert(n_ > 0);
-    return items_[rng.below(n_)];
+    return static_cast<std::uint32_t>(rng.below(n_));
   }
-  /// Uniform random unselected element. Precondition: unselected_count() > 0.
-  [[nodiscard]] std::uint32_t sample_unselected(common::Rng& rng) const {
+  /// Uniform random slot on the unselected side, [n, I).
+  /// Precondition: unselected_count() > 0.
+  [[nodiscard]] std::uint32_t sample_unselected_slot(common::Rng& rng) const {
     assert(n_ < items_.size());
-    return items_[n_ + rng.below(items_.size() - n_)];
+    return n_ + static_cast<std::uint32_t>(rng.below(items_.size() - n_));
+  }
+  /// The committee in a slot.
+  [[nodiscard]] std::uint32_t at(std::uint32_t slot) const {
+    return items_[slot];
   }
 
-  /// Applies the transition x_out: 1→0, x_in: 0→1.
-  void swap(std::uint32_t out, std::uint32_t in) {
-    const std::uint32_t po = pos_[out];
-    const std::uint32_t pi = pos_[in];
-    assert(po < n_ && pi >= n_);
-    items_[po] = in;
-    items_[pi] = out;
-    pos_[in] = po;
-    pos_[out] = pi;
+  /// Applies the transition x_{at(po)}: 1→0, x_{at(pi)}: 0→1 by exchanging
+  /// a selected slot `po` with an unselected slot `pi`.
+  void swap_slots(std::uint32_t po, std::uint32_t pi) {
+    assert(po < n_ && pi >= n_ && pi < items_.size());
+    std::swap(items_[po], items_[pi]);
   }
 
   /// Materializes the bitmap.
@@ -101,7 +107,6 @@ class SwapSet {
 
  private:
   std::vector<std::uint32_t> items_;  // permutation; [0, n_) = selected
-  std::vector<std::uint32_t> pos_;    // inverse permutation
   std::uint32_t n_ = 0;               // selected count / side boundary
 };
 

@@ -4,11 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <span>
 
 #include "baselines/exhaustive.hpp"
+#include "common/fnv.hpp"
 #include "common/rng.hpp"
 #include "mvcom/se_scheduler.hpp"
+#include "obs/metrics.hpp"
 
 namespace {
 
@@ -17,6 +22,7 @@ using mvcom::core::Committee;
 using mvcom::core::EpochInstance;
 using mvcom::core::Selection;
 using mvcom::core::SeParams;
+using mvcom::core::SeResult;
 using mvcom::core::SeScheduler;
 using mvcom::core::SeTransition;
 
@@ -180,6 +186,108 @@ TEST(SePropertyTest, AlphaScalingShiftsSelectionTowardThroughput) {
     EXPECT_GE(txs + total / 100, prev_txs) << "alpha " << alpha;  // 1% slack
     prev_txs = txs;
   }
+}
+
+// --- pinned SE outputs ------------------------------------------------------
+//
+// Constants, not run-vs-run comparisons: any change to a draw, an accept/
+// reject decision or the SwapSet permutation order moves these. The instance
+// is |I| = 600 with Ĉ = 0.6·Σs, so capacity binds — proposals hit the
+// feasibility retry loop and the high-cardinality chains exhaust it — and
+// the family is the full n = 1..|I| one.
+
+std::uint64_t selection_fnv(const Selection& x) {
+  return mvcom::common::fnv1a(std::span<const std::uint8_t>(x));
+}
+
+std::uint64_t trace_fnv(const std::vector<double>& trace) {
+  std::uint64_t h = mvcom::common::kFnv1aBasis;
+  for (const double u : trace) {
+    h = mvcom::common::fnv1a_mix(h, std::bit_cast<std::uint64_t>(u));
+  }
+  return h;
+}
+
+SeParams pinned_params(SeTransition transition) {
+  SeParams params;
+  params.threads = 4;
+  params.transition = transition;
+  params.max_iterations = 300;
+  params.convergence_window = params.max_iterations + 1;  // fixed budget
+  return params;
+}
+
+TEST(SeDeterminism, PinnedRunsBothTransitions) {
+  struct Pin {
+    SeTransition transition;
+    std::uint64_t best_fnv;
+    std::uint64_t utility_bits;
+    std::uint64_t trace_fnv;
+  };
+  constexpr Pin kPins[] = {
+      {SeTransition::kChainParallel, 0x14a72a988d4cc83eULL,
+       0x41204a68e549ccceULL, 0x346311539fc0912dULL},
+      {SeTransition::kTimerRace, 0xe57e114d3c952bdcULL, 0x411f263053b077c3ULL,
+       0xc1ac9106acb09a9dULL},
+  };
+  const EpochInstance inst = random_instance(15, 600, 60, 0.6);
+  for (const Pin& pin : kPins) {
+    SCOPED_TRACE(pin.transition == SeTransition::kChainParallel
+                     ? "kChainParallel"
+                     : "kTimerRace");
+    mvcom::obs::MetricsRegistry registry;
+    SeScheduler scheduler(inst, pinned_params(pin.transition), 2021);
+    scheduler.set_obs(mvcom::obs::ObsContext(&registry, nullptr));
+    const SeResult result = scheduler.run();
+    ASSERT_TRUE(result.feasible);
+    ASSERT_EQ(result.utility_trace.size(), 300u);
+    EXPECT_EQ(selection_fnv(result.best), pin.best_fnv)
+        << "best 0x" << std::hex << selection_fnv(result.best);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(result.utility), pin.utility_bits)
+        << "utility 0x" << std::hex
+        << std::bit_cast<std::uint64_t>(result.utility);
+    EXPECT_EQ(trace_fnv(result.utility_trace), pin.trace_fnv)
+        << "trace 0x" << std::hex << trace_fnv(result.utility_trace);
+    if (mvcom::obs::kEnabled &&
+        pin.transition == SeTransition::kChainParallel) {
+      // The exhausted-proposal path ran: the chains climbed to Ĉ. (The
+      // timer race applies one move per iteration, so in 300 iterations its
+      // chains stay near their random initial subsets.)
+      EXPECT_GT(registry
+                    .counter("mvcom_se_transitions_total", "",
+                             {{"result", "infeasible"}})
+                    .value(),
+                0u);
+    }
+  }
+}
+
+TEST(SeDeterminism, PinnedJoinThenLeave) {
+  // A join rebinds every chain; the leave then tests each chain for the
+  // removed committee (SwapSet::contains) before carrying it over.
+  constexpr std::uint64_t kSelectionFnv = 0xd393bc8e729a9240ULL;
+  constexpr std::uint64_t kUtilityBits = 0x41201539a30b3dccULL;
+  const EpochInstance inst = random_instance(16, 600, 60, 0.6);
+  SeScheduler scheduler(inst, pinned_params(SeTransition::kChainParallel),
+                        2022);
+  scheduler.advance(100);
+  scheduler.add_committee({600, 1800, 650.0});
+  scheduler.advance(50);
+  const Selection before = scheduler.current_selection();
+  // Ids equal indices here: the first selected committee leaves.
+  const auto victim = static_cast<std::uint32_t>(
+      std::find(before.begin(), before.end(), 1) - before.begin());
+  scheduler.remove_committee(victim);
+  scheduler.advance(100);
+  const Selection x = scheduler.current_selection();
+  ASSERT_EQ(x.size(), 600u);
+  EXPECT_TRUE(scheduler.instance().feasible(x));
+  EXPECT_EQ(selection_fnv(x), kSelectionFnv)
+      << "selection 0x" << std::hex << selection_fnv(x);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(scheduler.current_utility()),
+            kUtilityBits)
+      << "utility 0x" << std::hex
+      << std::bit_cast<std::uint64_t>(scheduler.current_utility());
 }
 
 }  // namespace

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "baselines/exhaustive.hpp"
 #include "common/rng.hpp"
@@ -262,6 +264,39 @@ TEST(SeTimerEdgeTest, LogUnitExponentialIsMonotoneAndExactInTheInterior) {
   // Interior values are untouched by the clamp: ln(−ln(0.5)) at u = 0.5.
   EXPECT_DOUBLE_EQ(mvcom::core::detail::log_unit_exponential(0.5),
                    std::log(-std::log1p(-0.5)));
+}
+
+// The chain step's Metropolis shortcut: below kNegligibleLogAcceptance it
+// rejects every nonzero draw without calling exp(). It must agree with the
+// plain test u >= exp(x) on every (x, u) pair a uniform01() draw can produce.
+TEST(SeMetropolisCutTest, NegligibleShortcutMatchesExpEverywhere) {
+  using mvcom::core::detail::kNegligibleLogAcceptance;
+  using mvcom::core::detail::metropolis_rejects;
+  constexpr double kUlp = 0x1.0p-53;  // uniform01() resolution
+  const double kInfinity = std::numeric_limits<double>::infinity();
+  std::vector<double> xs = {
+      kNegligibleLogAcceptance,
+      std::nextafter(kNegligibleLogAcceptance, -kInfinity),
+      std::nextafter(kNegligibleLogAcceptance, kInfinity)};
+  for (int k = 0; k <= 640; ++k) xs.push_back(-40.0 + k / 64.0);
+  const auto check = [&](double x, double u) {
+    ASSERT_EQ(metropolis_rejects(x, u), u >= std::exp(x))
+        << "x=" << x << " u=" << u;
+  };
+  for (const double x : xs) {
+    for (const double u : {0.0, kUlp, 2.0 * kUlp, 1.0 - kUlp}) check(x, u);
+  }
+  mvcom::common::Rng rng(37);
+  for (int draw = 0; draw < 100'000; ++draw) {
+    const double u = rng.uniform01();
+    check(rng.uniform(-40.0, -30.0), u);
+    for (std::size_t k = 0; k < 3; ++k) check(xs[k], u);  // the boundary
+  }
+  // The cut is live: exp() at the boundary is below the smallest nonzero u.
+  EXPECT_LT(std::exp(kNegligibleLogAcceptance), kUlp);
+  EXPECT_TRUE(metropolis_rejects(kNegligibleLogAcceptance - 1.0, kUlp));
+  // u == 0 still reaches exp(): 0 >= exp(x) is false, so the move accepts.
+  EXPECT_FALSE(metropolis_rejects(kNegligibleLogAcceptance - 1.0, 0.0));
 }
 
 }  // namespace

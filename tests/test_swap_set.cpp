@@ -28,7 +28,10 @@ TEST(SwapSetTest, RebuildReflectsBitmap) {
 
 TEST(SwapSetTest, SwapMovesExactlyOnePair) {
   SwapSet s(Selection{1, 0, 1, 0});
-  s.swap(0, 1);
+  // Slots: [0, 2 | 1, 3] — committee 0 sits in slot 0, committee 1 in 2.
+  ASSERT_EQ(s.at(0), 0u);
+  ASSERT_EQ(s.at(2), 1u);
+  s.swap_slots(0, 2);
   EXPECT_FALSE(s.contains(0));
   EXPECT_TRUE(s.contains(1));
   EXPECT_TRUE(s.contains(2));
@@ -40,8 +43,8 @@ TEST(SwapSetTest, SamplingOnlyReturnsMembersOfTheRightSide) {
   Rng rng(1);
   SwapSet s(Selection{1, 1, 0, 0, 1, 0});
   for (int i = 0; i < 200; ++i) {
-    EXPECT_TRUE(s.contains(s.sample_selected(rng)));
-    EXPECT_FALSE(s.contains(s.sample_unselected(rng)));
+    EXPECT_TRUE(s.contains(s.at(s.sample_selected_slot(rng))));
+    EXPECT_FALSE(s.contains(s.at(s.sample_unselected_slot(rng))));
   }
 }
 
@@ -51,8 +54,8 @@ TEST(SwapSetTest, SamplingCoversAllCandidates) {
   std::set<std::uint32_t> seen_sel;
   std::set<std::uint32_t> seen_unsel;
   for (int i = 0; i < 500; ++i) {
-    seen_sel.insert(s.sample_selected(rng));
-    seen_unsel.insert(s.sample_unselected(rng));
+    seen_sel.insert(s.at(s.sample_selected_slot(rng)));
+    seen_unsel.insert(s.at(s.sample_unselected_slot(rng)));
   }
   EXPECT_EQ(seen_sel, (std::set<std::uint32_t>{0, 1, 2}));
   EXPECT_EQ(seen_unsel, (std::set<std::uint32_t>{3, 4, 5}));
@@ -72,11 +75,13 @@ TEST(SwapSetTest, RandomizedSequenceMatchesReferenceSet) {
   }
 
   for (int step = 0; step < 2000; ++step) {
-    const std::uint32_t out = s.sample_selected(rng);
-    const std::uint32_t in = s.sample_unselected(rng);
+    const std::uint32_t po = s.sample_selected_slot(rng);
+    const std::uint32_t pi = s.sample_unselected_slot(rng);
+    const std::uint32_t out = s.at(po);
+    const std::uint32_t in = s.at(pi);
     ASSERT_TRUE(reference.count(out));
     ASSERT_FALSE(reference.count(in));
-    s.swap(out, in);
+    s.swap_slots(po, pi);
     reference.erase(out);
     reference.insert(in);
     ASSERT_EQ(s.selected_count(), reference.size());
