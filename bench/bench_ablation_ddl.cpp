@@ -31,10 +31,10 @@ int main() {
               "stragglers", "SE utility", "TXs packed", "cum. age(s)");
 
   for (const double q : {0.5, 0.6, 0.7, 0.8, 0.9, 1.0}) {
-    const mvcom::core::PercentileDdl policy(q);
-    const auto admission = policy.admit(workload.reports);
+    const auto admission = mvcom::core::admit_by_deadline(
+        workload.reports, mvcom::core::ddl_deadline(workload.reports, q));
     const auto instance = mvcom::core::make_instance_with_ddl(
-        workload.reports, policy, /*alpha=*/1.5, /*capacity=*/40'000,
+        admission, /*alpha=*/1.5, /*capacity=*/40'000,
         /*n_min=*/admission.admitted.size() * 2 / 5);
     if (!instance) continue;
     mvcom::core::SeParams params;

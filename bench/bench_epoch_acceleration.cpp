@@ -69,9 +69,10 @@ std::vector<std::uint32_t> mvcom_policy(
   const auto reports = to_reports(committed);
   std::uint64_t total = 0;
   for (const auto& r : reports) total += r.tx_count;
-  const mvcom::core::PercentileDdl ddl(0.8);
   const auto instance = mvcom::core::make_instance_with_ddl(
-      reports, ddl, /*alpha=*/1.5, (total * 7) / 10, reports.size() / 3);
+      mvcom::core::admit_by_deadline(
+          reports, mvcom::core::ddl_deadline(reports, /*quantile=*/0.8)),
+      /*alpha=*/1.5, (total * 7) / 10, reports.size() / 3);
   std::vector<std::uint32_t> ids;
   if (!instance) {
     for (const auto& c : committed) ids.push_back(c.committee_id);

@@ -141,12 +141,11 @@ int main() {
     json.set("gate_rate_" + tag + "_committed_txs_per_sec", tx_rate);
   }
 
-  // --- Account-model deferred carry: the streaming pipeline's stage A must
-  // stay pure, so it counts-and-drops the x-shard scheduler's deferrals
-  // (DESIGN.md §15). Here nothing is pure — so deferred account TXs carry
-  // into the next epoch's scheduling queue with their original timestamps
-  // (arrival round 0 after the clamp), and we measure how long they wait:
-  // the per-TX age story of the main bench, at account granularity.
+  // --- Account-model deferred carry (DESIGN.md §15): deferred account TXs
+  // carry into the next epoch's scheduling queue with their original
+  // timestamps (arrival round 0 after the clamp), and we measure how long
+  // they wait: the per-TX age story of the main bench, at account
+  // granularity.
   mvcom::bench::print_header(
       "Account-model carry",
       "deferred cross-shard TXs re-queued across epochs, conflict-aware arm");

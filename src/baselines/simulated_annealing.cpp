@@ -5,6 +5,13 @@
 #include <limits>
 
 namespace mvcom::baselines {
+namespace {
+
+constexpr double kCooling = 0.999;  // geometric decay per iteration
+constexpr double kMinTemperature = 1e-6;
+constexpr double kSwapProbability = 0.5;  // a move is a swap, else a flip
+
+}  // namespace
 
 SolverResult SimulatedAnnealing::solve(const EpochInstance& instance) {
   common::Rng rng(seed_);
@@ -31,18 +38,15 @@ SolverResult SimulatedAnnealing::solve(const EpochInstance& instance) {
     best = x;
   }
 
-  // Auto temperature: a fraction of the spread of single-committee gains so
-  // early iterations accept most moves.
-  double temperature = params_.initial_temperature;
-  if (temperature < 0.0) {
-    double lo = std::numeric_limits<double>::infinity();
-    double hi = -lo;
-    for (std::size_t i = 0; i < total; ++i) {
-      lo = std::min(lo, instance.gain(i));
-      hi = std::max(hi, instance.gain(i));
-    }
-    temperature = std::max(1.0, 0.5 * (hi - lo));
+  // Start temperature: a fraction of the spread of single-committee gains
+  // so early iterations accept most moves.
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -lo;
+  for (std::size_t i = 0; i < total; ++i) {
+    lo = std::min(lo, instance.gain(i));
+    hi = std::max(hi, instance.gain(i));
   }
+  double temperature = std::max(1.0, 0.5 * (hi - lo));
 
   result.utility_trace.reserve(params_.iterations);
   for (std::size_t it = 0; it < params_.iterations; ++it) {
@@ -51,7 +55,7 @@ SolverResult SimulatedAnnealing::solve(const EpochInstance& instance) {
     std::size_t flip_a = total;
     std::size_t flip_b = total;
     if (st.chosen > 0 && st.chosen < total &&
-        rng.bernoulli(params_.swap_probability)) {
+        rng.bernoulli(kSwapProbability)) {
       // Swap a random selected with a random unselected committee.
       std::size_t out;
       std::size_t in;
@@ -104,8 +108,7 @@ SolverResult SimulatedAnnealing::solve(const EpochInstance& instance) {
       }
     }
 
-    temperature = std::max(params_.min_temperature,
-                           temperature * params_.cooling);
+    temperature = std::max(kMinTemperature, temperature * kCooling);
     result.utility_trace.push_back(
         best.empty() ? std::numeric_limits<double>::quiet_NaN()
                      : best_utility);

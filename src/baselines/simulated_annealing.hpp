@@ -9,13 +9,10 @@
 
 namespace mvcom::baselines {
 
+/// The schedule's other constants (start temperature scaled to the gain
+/// spread, cooling, floor, swap share) are fixed in simulated_annealing.cpp.
 struct SaParams {
   std::size_t iterations = 5000;
-  double initial_temperature = -1.0;  // < 0: auto-scale to the utility range
-  double cooling = 0.999;             // geometric decay per iteration
-  double min_temperature = 1e-6;
-  /// Probability that a move is a swap (else a flip).
-  double swap_probability = 0.5;
 };
 
 class SimulatedAnnealing final : public Solver {

@@ -11,10 +11,9 @@
 
 namespace mvcom::baselines {
 
+/// Population size and spiral shape are fixed in whale_optimization.cpp.
 struct WoaParams {
-  std::size_t population = 30;
   std::size_t iterations = 200;
-  double spiral_b = 1.0;  // logarithmic-spiral shape constant
 };
 
 class WhaleOptimization final : public Solver {

@@ -182,9 +182,9 @@ FaultPlan Adversary::plan_epoch(
       break;
     }
     case AdversaryStrategy::kChurnStorm: {
-      // Membership churn at churn_multiplier × Fig. 14, scaled by budget.
+      // Membership churn at kChurnMultiplier × Fig. 14, scaled by budget.
       const ChurnSchedule schedule = sample_churn_schedule(
-          kFig14BaselineChurn, config_.churn_multiplier * config_.budget,
+          kFig14BaselineChurn, kChurnMultiplier * config_.budget,
           horizon, rng);
       std::uint32_t next_slot = 0;
       for (const ChurnSchedule::Arrival& a : schedule.arrivals) {

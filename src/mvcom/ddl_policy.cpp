@@ -1,21 +1,33 @@
 #include "mvcom/ddl_policy.hpp"
 
-#include <algorithm>
-#include <cassert>
 #include <stdexcept>
 
 #include "common/stats.hpp"
 
 namespace mvcom::core {
 
-DdlAdmission DdlPolicy::admit(std::span<const txn::ShardReport> reports) const {
+double ddl_deadline(std::span<const txn::ShardReport> reports,
+                    double quantile) {
   if (reports.empty()) {
-    throw std::invalid_argument("DdlPolicy::admit: no reports");
+    throw std::invalid_argument("ddl_deadline: no reports");
   }
-  DdlAdmission result;
-  result.deadline = deadline(reports);
+  if (!(quantile > 0.0 && quantile <= 1.0)) {
+    throw std::invalid_argument("ddl_deadline: quantile in (0, 1]");
+  }
+  std::vector<double> latencies;
+  latencies.reserve(reports.size());
   for (const txn::ShardReport& r : reports) {
-    if (r.two_phase_latency() <= result.deadline) {
+    latencies.push_back(r.two_phase_latency());
+  }
+  return common::percentile(latencies, quantile);
+}
+
+DdlAdmission admit_by_deadline(std::span<const txn::ShardReport> reports,
+                               double deadline) {
+  DdlAdmission result;
+  result.deadline = deadline;
+  for (const txn::ShardReport& r : reports) {
+    if (r.two_phase_latency() <= deadline) {
       result.admitted.push_back(r);
     } else {
       ++result.stragglers;
@@ -24,37 +36,9 @@ DdlAdmission DdlPolicy::admit(std::span<const txn::ShardReport> reports) const {
   return result;
 }
 
-double MaxLatencyDdl::deadline(
-    std::span<const txn::ShardReport> reports) const {
-  assert(!reports.empty());
-  double t = 0.0;
-  for (const txn::ShardReport& r : reports) {
-    t = std::max(t, r.two_phase_latency());
-  }
-  return t;
-}
-
-PercentileDdl::PercentileDdl(double quantile) : quantile_(quantile) {
-  if (quantile <= 0.0 || quantile > 1.0) {
-    throw std::invalid_argument("PercentileDdl: quantile in (0, 1]");
-  }
-}
-
-double PercentileDdl::deadline(
-    std::span<const txn::ShardReport> reports) const {
-  assert(!reports.empty());
-  std::vector<double> latencies;
-  latencies.reserve(reports.size());
-  for (const txn::ShardReport& r : reports) {
-    latencies.push_back(r.two_phase_latency());
-  }
-  return common::percentile(latencies, quantile_);
-}
-
 std::optional<EpochInstance> make_instance_with_ddl(
-    std::span<const txn::ShardReport> reports, const DdlPolicy& policy,
-    double alpha, std::uint64_t capacity, std::size_t n_min) {
-  const DdlAdmission admission = policy.admit(reports);
+    const DdlAdmission& admission, double alpha, std::uint64_t capacity,
+    std::size_t n_min) {
   if (admission.admitted.empty()) return std::nullopt;
   return EpochInstance::from_reports(admission.admitted, alpha, capacity,
                                      n_min, admission.deadline);

@@ -127,14 +127,8 @@ EpochSupervisor::EpochSupervisor(SupervisorConfig config, std::uint64_t seed)
       scheduler_(config.scheduler, seed),
       rng_(seed ^ 0x5eb0a9d5u),
       base_n_min_(scheduler_.n_min()) {
-  if (config_.max_strikes <= 0) {
-    throw std::invalid_argument("EpochSupervisor: max_strikes > 0");
-  }
-  if (config_.ping_interval_seconds <= 0.0 ||
-      config_.ping_timeout_seconds <= 0.0 ||
-      config_.missed_pings_before_failure <= 0 ||
-      config_.ping_backoff_factor < 1.0) {
-    throw std::invalid_argument("EpochSupervisor: bad monitor parameters");
+  if (config_.ping_interval_seconds <= 0.0) {
+    throw std::invalid_argument("EpochSupervisor: ping_interval_seconds > 0");
   }
   if (config_.risk.enabled && (config_.risk.escalation_step <= 0.0 ||
                                config_.risk.tighten_step <= 0.0)) {
@@ -378,15 +372,15 @@ bool EpochSupervisor::ban_preserves_liveness() const noexcept {
 }
 
 int EpochSupervisor::effective_max_strikes() const noexcept {
-  if (!config_.risk.enabled) return config_.max_strikes;
+  if (!config_.risk.enabled) return kMaxStrikes;
   const int tightened =
-      config_.max_strikes -
+      kMaxStrikes -
       static_cast<int>(risk_score() / config_.risk.tighten_step);
   // Floor 2, never 1: banning first offenses under high carried risk lets a
   // broad attack convert the whole membership into bans within an epoch or
   // two (a liveness collapse the attacker would happily trade forgeries
   // for). Repeat offenders still escalate monotonically to a ban.
-  return std::max(std::min(2, config_.max_strikes), tightened);
+  return std::max(2, tightened);
 }
 
 void EpochSupervisor::update_risk_policy() {
@@ -515,7 +509,7 @@ void EpochSupervisor::probe(std::uint32_t committee_id) {
   const common::SimTime rtt = network_->ping_rtt(observer_, node);
   const bool lost = rng_.bernoulli(network_->loss_probability());
   const bool missed = lost || rtt.is_infinite() ||
-                      rtt.seconds() > config_.ping_timeout_seconds;
+                      rtt.seconds() > kPingTimeoutSeconds;
   if (missed) {
     if (obs_probe_missed_ != nullptr) obs_probe_missed_->inc();
     if (auto* t = obs_.trace()) {
@@ -531,13 +525,13 @@ void EpochSupervisor::probe(std::uint32_t committee_id) {
   if (missed) {
     ++h.missed_pings;
     if (!h.failed &&
-        h.missed_pings >= config_.missed_pings_before_failure) {
+        h.missed_pings >= kMissedPingsBeforeFailure) {
       on_failure(committee_id);
     }
     if (h.failed) {
       // Down: keep checking, but back off exponentially (§V-A timeouts).
       h.ping_interval_seconds =
-          std::min(h.ping_interval_seconds * config_.ping_backoff_factor,
+          std::min(h.ping_interval_seconds * kPingBackoffFactor,
                    kPingIntervalCapSeconds);
     }
   } else {

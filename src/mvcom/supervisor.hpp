@@ -172,16 +172,20 @@ struct CommitteeHealth {
   double ping_interval_seconds = 0.0;  // current (possibly backed-off)
 };
 
+/// Strikes (failed verifications / equivocations) before a permanent
+/// epoch-scoped ban (the risk policy may tighten it, floor 2).
+inline constexpr int kMaxStrikes = 3;
+/// Heartbeat monitor (§V-A ping failure detector): a ping whose RTT exceeds
+/// the timeout is missed; K consecutive misses declare the committee failed,
+/// after which its ping interval backs off by the factor per probe.
+inline constexpr double kPingTimeoutSeconds = 12.0;
+inline constexpr int kMissedPingsBeforeFailure = 3;  // K
+inline constexpr double kPingBackoffFactor = 2.0;
+
 struct SupervisorConfig {
   OnlineSchedulerConfig scheduler{};
-  /// Strikes (failed verifications / equivocations) before a permanent
-  /// epoch-scoped ban.
-  int max_strikes = 3;
-  /// Heartbeat monitor (§V-A ping failure detector).
+  /// Heartbeat monitor probe interval while the committee is up.
   double ping_interval_seconds = 30.0;
-  double ping_timeout_seconds = 12.0;
-  int missed_pings_before_failure = 3;   // K
-  double ping_backoff_factor = 2.0;      // while the committee is down
   /// Risk-adaptive committee sizing (disabled by default — the static
   /// supervisor behaves exactly as before).
   RiskPolicyConfig risk{};

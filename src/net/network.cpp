@@ -52,8 +52,6 @@ void Network::set_node_factor(NodeId node, double factor) {
   factors_.at(node) = factor;
 }
 
-double Network::node_factor(NodeId node) const { return factors_.at(node); }
-
 void Network::set_failed(NodeId node, bool failed) {
   failed_.at(node) = failed;
 }

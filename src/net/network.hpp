@@ -45,7 +45,6 @@ class Network {
   /// Per-node delay multiplier (>= 1 slow node, < 1 fast node). Models
   /// heterogeneous connectivity. Precondition: factor > 0.
   void set_node_factor(NodeId node, double factor);
-  [[nodiscard]] double node_factor(NodeId node) const;
 
   /// Marks a node failed/recovered. Failed nodes neither send nor receive.
   void set_failed(NodeId node, bool failed);

@@ -39,7 +39,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "chain/root_chain.hpp"
@@ -48,7 +47,6 @@
 #include "mvcom/se_scheduler.hpp"
 #include "obs/context.hpp"
 #include "txn/trace.hpp"
-#include "txn/xshard/scheduler.hpp"
 
 namespace mvcom::obs {
 class Counter;
@@ -74,7 +72,9 @@ struct PipelineConfig {
   /// the calling thread; results are identical either way).
   std::size_t workers = 0;
   double alpha = 1.5;              // Eq.-(2) throughput weight
-  double capacity_fraction = 0.6;  // Ĉ as a fraction of pending TXs
+  /// Ĉ as a fraction of pending TXs; the constructor throws unless it is
+  /// in (0, 1].
+  double capacity_fraction = 0.6;
   std::size_t n_min = 0;           // Eq.-(3) lower bound
   FinalPolicy policy = FinalPolicy::kMvcomSe;  // final-committee selection
   core::SeParams se;               // SE scheduler knobs (threads, iterations…)
@@ -88,19 +88,6 @@ struct PipelineConfig {
   /// latency model only.
   int pow_grind_bits = 0;
   std::uint64_t seed = 1;          // root of every per-epoch Rng stream
-  /// Account-model mode (DESIGN.md §15): stage A generates account-based
-  /// traffic for the epoch window, runs the conflict-aware x-shard
-  /// assembler + scheduler, and each committee's shard carries its
-  /// *effective committed* TX count — the scheduler's deferred cross-shard
-  /// legs shrink s_i before the SE scheduler ever sees it. The assembly is
-  /// per-epoch pure (keyed streams, no cross-epoch state), so the stage-A
-  /// purity contract — and with it bitwise determinism across overlap
-  /// depths and worker counts — is preserved. `account.num_shards`,
-  /// `xshard.num_shards`, window and start are overridden to match the
-  /// pipeline's committees and epoch windows.
-  bool account_mode = false;
-  txn::AccountModelConfig account;
-  txn::XShardConfig xshard;
 };
 
 /// What stage B decided for one epoch.
@@ -121,10 +108,6 @@ struct EpochReport {
   std::uint64_t se_iterations = 0;
   std::uint64_t des_events = 0;          // stage-4 simulator events
   std::uint64_t event_order_digest = 0;  // formation + DES + selection fold
-  // Account-mode only: this epoch's x-shard classification tallies.
-  std::uint64_t xshard_intra_txs = 0;
-  std::uint64_t xshard_cross_txs = 0;
-  std::uint64_t xshard_deferred_txs = 0;  // dropped from s_i by the scheduler
 };
 
 /// Aggregates over a whole run (possibly stopped early).
@@ -134,9 +117,6 @@ struct PipelineTotals {
   std::uint64_t ingested_txs = 0;   // TXs that entered scheduling
   std::uint64_t committed_txs = 0;
   std::uint64_t pending_txs = 0;    // still carried at exit
-  /// Account mode: TXs the x-shard scheduler deferred at stage A — they
-  /// never reached SE scheduling (the next window brings fresh traffic).
-  std::uint64_t xshard_deferred_txs = 0;
   double total_age = 0.0;
   std::size_t max_shard_carries = 0;  // most times any one shard was deferred
   std::uint64_t digest = 0;           // fold of the per-epoch digests
@@ -180,10 +160,6 @@ class EpochPipeline {
     double submit_time = 0.0;  // absolute two-phase completion instant
     crypto::Digest root{};     // shard root committed by the final block
     std::size_t carries = 0;   // number of epochs this shard was deferred
-    /// Account mode (block_indices empty): Σ committed-TX timestamps, so
-    /// per-TX ages at commit are txs·commit − ts_sum without re-walking the
-    /// account trace.
-    double ts_sum = 0.0;
   };
 
   /// Stage A's output: everything epoch e's scheduling needs from formation.
@@ -192,14 +168,9 @@ class EpochPipeline {
     double window_end = 0.0;
     std::vector<PendingShard> shards;      // fresh shards, committee order
     std::uint64_t formation_digest = 0;    // latency bits + PoW nonces fold
-    // Account-mode classification tallies (zero in block-trace mode).
-    std::uint64_t xshard_intra = 0;
-    std::uint64_t xshard_cross = 0;
-    std::uint64_t xshard_deferred = 0;
   };
 
   [[nodiscard]] FormedEpoch form_epoch(std::size_t epoch) const;
-  [[nodiscard]] FormedEpoch form_epoch_accounts(std::size_t epoch) const;
   EpochReport schedule_epoch(FormedEpoch&& formed);
 
   [[nodiscard]] bool stop_requested() const noexcept {
@@ -212,9 +183,6 @@ class EpochPipeline {
   PipelineConfig config_;
   double trace_start_ = 0.0;
   double window_ = 0.0;  // nominal epoch window length
-  /// Account mode: the per-epoch traffic generator (const + pure keyed
-  /// epochs, so concurrent stage-A calls are safe).
-  std::optional<txn::AccountTxGenerator> account_gen_;
 
   // Cross-epoch state — touched exclusively by stage B, in epoch order.
   std::vector<PendingShard> carried_;
@@ -231,10 +199,6 @@ class EpochPipeline {
   obs::Counter* obs_carried_ = nullptr;
   obs::Gauge* obs_utility_ = nullptr;
   obs::Gauge* obs_commit_time_ = nullptr;
-  // Account-mode conflict counters: TXs by x-shard classification.
-  obs::Counter* obs_xshard_intra_ = nullptr;
-  obs::Counter* obs_xshard_cross_ = nullptr;
-  obs::Counter* obs_xshard_deferred_ = nullptr;
 };
 
 }  // namespace mvcom::pipeline

@@ -10,15 +10,6 @@ crypto::Digest ShardEntry::leaf() const {
   return h.finalize();
 }
 
-const char* to_string(SubmissionError error) noexcept {
-  switch (error) {
-    case SubmissionError::kEmpty: return "empty shard";
-    case SubmissionError::kRootMismatch: return "merkle root mismatch";
-    case SubmissionError::kCountMismatch: return "tx count mismatch";
-  }
-  return "unknown";
-}
-
 namespace {
 
 crypto::Digest root_of(const std::vector<ShardEntry>& entries) {
@@ -38,18 +29,6 @@ ShardSubmission build_submission(std::uint32_t committee_id,
   s.claimed_root = root_of(s.entries);
   for (const ShardEntry& e : s.entries) s.claimed_tx_count += e.tx_count;
   return s;
-}
-
-ShardSubmission build_submission_from_trace(
-    std::uint32_t committee_id, const txn::Trace& trace,
-    std::span<const std::size_t> block_indices) {
-  std::vector<ShardEntry> entries;
-  entries.reserve(block_indices.size());
-  for (const std::size_t b : block_indices) {
-    const txn::BlockRecord& block = trace.blocks.at(b);
-    entries.push_back({block.bhash, block.tx_count});
-  }
-  return build_submission(committee_id, std::move(entries));
 }
 
 std::optional<SubmissionError> verify_submission(

@@ -82,21 +82,13 @@ EpochWorkload WorkloadGenerator::epoch(common::Rng& rng) const {
     workload.reports[c].committee_id = static_cast<std::uint32_t>(c);
   }
 
-  // Deal blocks: a random permutation guarantees one block per committee in
-  // the first round; in kDealAllBlocks mode the remainder is assigned
-  // uniformly at random, otherwise the remaining blocks stay unused this
-  // epoch.
+  // Deal blocks: the first m of a random permutation go one to each
+  // committee; the remaining blocks stay unused this epoch.
   std::vector<std::size_t> order(trace_.blocks.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   rng.shuffle(std::span<std::size_t>(order));
-  const std::size_t dealt = config_.fill == ShardFill::kOneBlockPerCommittee
-                                ? m
-                                : order.size();
-  for (std::size_t rank = 0; rank < dealt; ++rank) {
-    const std::size_t committee =
-        rank < m ? rank : static_cast<std::size_t>(rng.below(m));
-    workload.reports[committee].tx_count +=
-        trace_.blocks[order[rank]].tx_count;
+  for (std::size_t c = 0; c < m; ++c) {
+    workload.reports[c].tx_count += trace_.blocks[order[c]].tx_count;
   }
 
   for (ShardReport& r : workload.reports) {

@@ -191,8 +191,7 @@ TEST(AdversaryTest, ChurnStormRespectsReserveAndUsesLiveRankLeaves) {
   const auto committees = test_committees(trace, 12);
   AdversaryConfig config;
   config.strategy = AdversaryStrategy::kChurnStorm;
-  config.budget = 1.0;
-  config.churn_multiplier = 10.0;
+  config.budget = 1.0;  // churn at the full kChurnMultiplier × Fig. 14
   const Adversary adversary(config, 21);
   const std::size_t reserve = 5;
   const FaultPlan plan =

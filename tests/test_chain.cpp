@@ -174,14 +174,20 @@ TEST(SubmissionTest, EmptyShardRejected) {
 }
 
 TEST(SubmissionTest, TraceBackedSubmissionRoundtrips) {
+  // Entries taken from real trace blocks (64-hex hashes, generated counts):
+  // the claim is the blocks' TX sum and the commitment verifies.
   mvcom::common::Rng rng(7);
   mvcom::txn::TraceGeneratorConfig tc;
   tc.num_blocks = 20;
   tc.target_total_txs = 20'000;
   const auto trace = mvcom::txn::generate_trace(tc, rng);
   const std::vector<std::size_t> indices{2, 5, 11};
+  std::vector<mvcom::sharding::ShardEntry> entries;
+  for (const std::size_t b : indices) {
+    entries.push_back({trace.blocks[b].bhash, trace.blocks[b].tx_count});
+  }
   const auto submission =
-      mvcom::sharding::build_submission_from_trace(9, trace, indices);
+      mvcom::sharding::build_submission(9, std::move(entries));
   EXPECT_EQ(submission.entries.size(), 3u);
   EXPECT_EQ(submission.claimed_tx_count,
             trace.blocks[2].tx_count + trace.blocks[5].tx_count +

@@ -1,14 +1,15 @@
 // Multi-process shard fabric (DESIGN.md §17): wire-format round-trips,
 // adversarial decode fuzz, the 2-process determinism matrix, and
-// SIGKILL-and-replay recovery.
+// SIGKILL/SIGSTOP-and-replay recovery.
 //
 // The determinism matrix mirrors tests/test_elastico_lanes.cpp one level up:
 // where that suite proves lane_workers (threads) never changes an epoch,
 // this one proves worker *processes* don't either — the same scenarios run
 // in-process serially and on {1, 2}-worker fabrics, and every outcome field
 // is compared bit-for-bit (doubles as their u64 bit patterns). The chaos
-// test SIGKILLs a worker mid-epoch and requires the replayed run to land on
-// the identical digests, which is the fabric's crash-recovery contract.
+// tests SIGKILL a worker mid-epoch, or SIGSTOP one so it hangs until the
+// epoch timeout, and require the replayed run to land on the identical
+// digests, which is the fabric's crash-recovery contract.
 //
 // The fuzz section follows test_io_fuzz's discipline: decoders must reject
 // (never crash, never over-read) truncation at EVERY byte offset, a
@@ -18,9 +19,15 @@
 
 #include <gtest/gtest.h>
 
+#include <signal.h>
+#include <unistd.h>
+
 #include <bit>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -495,6 +502,67 @@ TEST(FabricDeterminism, SigkillMidEpochReplaysToIdenticalDigests) {
     SCOPED_TRACE("epoch " + std::to_string(e));
     expect_identical(reference[e], survived[e]);
   }
+}
+
+/// Pids of this process's live children, read from /proc/<pid>/stat (the
+/// ppid is the second field after the parenthesised command name).
+std::vector<pid_t> child_pids() {
+  std::vector<pid_t> out;
+  const pid_t self = ::getpid();
+  for (const auto& entry : std::filesystem::directory_iterator("/proc")) {
+    const std::string name = entry.path().filename().string();
+    if (name.empty() ||
+        name.find_first_not_of("0123456789") != std::string::npos) {
+      continue;
+    }
+    std::ifstream in(entry.path() / "stat");
+    std::string stat;
+    if (!std::getline(in, stat)) continue;  // exited while we scanned
+    const std::size_t close = stat.rfind(')');
+    if (close == std::string::npos) continue;
+    std::istringstream fields(stat.substr(close + 1));
+    char state = 0;
+    long ppid = 0;
+    if (fields >> state >> ppid && ppid == self && state != 'Z') {
+      out.push_back(static_cast<pid_t>(std::stol(name)));
+    }
+  }
+  return out;
+}
+
+TEST(FabricRecovery, HungWorkerIsReplayedLikeADeadOne) {
+  // A worker that stops answering (SIGSTOP: alive, pipe open, no EOF) must
+  // be declared dead at epoch_timeout_ms, reaped, re-forked and replayed —
+  // the same recovery a SIGKILLed worker gets, with the same digests.
+  constexpr std::size_t kEpochs = 3;
+  const Trace trace = fabric_trace();
+  const ElasticoConfig config = fabric_config();
+  const std::vector<EpochOutcome> reference =
+      run_in_process(config, kEpochs, trace);
+
+  FabricConfig fabric_cfg;
+  fabric_cfg.workers = 2;
+  fabric_cfg.epoch_timeout_ms = 500;
+  ProcessFabric fleet(fabric_cfg);
+  ElasticoNetwork network(config, Rng(4242));
+  network.set_lane_executor(fleet.executor());
+  std::vector<EpochOutcome> got;
+  got.push_back(network.run_epoch(trace));
+
+  const std::vector<pid_t> workers = child_pids();
+  ASSERT_EQ(workers.size(), 2u);
+  ASSERT_EQ(::kill(workers.front(), SIGSTOP), 0);
+  for (std::size_t e = 1; e < kEpochs; ++e) {
+    got.push_back(network.run_epoch(trace));
+  }
+  EXPECT_EQ(fleet.respawns(), 1u);
+  ASSERT_EQ(reference.size(), got.size());
+  for (std::size_t e = 0; e < reference.size(); ++e) {
+    SCOPED_TRACE("epoch " + std::to_string(e));
+    expect_identical(reference[e], got[e]);
+  }
+  fleet.shutdown();
+  EXPECT_TRUE(child_pids().empty());
 }
 
 TEST(FabricDeterminism, ObsCounterDeltasFoldLikeSharedRegistry) {

@@ -20,7 +20,6 @@ using mvcom::common::Rng;
 using mvcom::txn::generate_trace;
 using mvcom::txn::load_trace_csv;
 using mvcom::txn::sample_two_phase_latency;
-using mvcom::txn::ShardFill;
 using mvcom::txn::Trace;
 using mvcom::txn::TraceGeneratorConfig;
 using mvcom::txn::WorkloadConfig;
@@ -178,26 +177,9 @@ TEST(WorkloadTest, OneBlockModeGivesEachCommitteeOneBlock) {
   }
 }
 
-TEST(WorkloadTest, DealAllModeConservesTotal) {
-  Rng rng(9);
-  TraceGeneratorConfig tc;
-  tc.num_blocks = 200;
-  tc.target_total_txs = 200'000;
-  Trace trace = generate_trace(tc, rng);
-  const std::uint64_t total = trace.total_txs();
-  WorkloadConfig wc;
-  wc.num_committees = 20;
-  wc.fill = ShardFill::kDealAllBlocks;
-  const WorkloadGenerator gen(std::move(trace), wc);
-  const auto workload = gen.epoch(rng);
-  EXPECT_EQ(workload.total_txs(), total);
-  for (const auto& r : workload.reports) EXPECT_GE(r.tx_count, 1u);
-}
-
 TEST(WorkloadTest, DealAllWithAsManyCommitteesAsBlocksIsAPermutation) {
-  // With |I| == #blocks the first dealing round consumes every block, so
-  // each shard is exactly one block — the shard counts are a permutation of
-  // the block counts.
+  // With |I| == #blocks one block per committee deals every block, so the
+  // shard counts are a permutation of the block counts.
   Rng rng(12);
   TraceGeneratorConfig tc;
   tc.num_blocks = 25;
@@ -207,7 +189,6 @@ TEST(WorkloadTest, DealAllWithAsManyCommitteesAsBlocksIsAPermutation) {
   for (const auto& b : trace.blocks) block_counts.insert(b.tx_count);
   WorkloadConfig wc;
   wc.num_committees = 25;
-  wc.fill = ShardFill::kDealAllBlocks;
   const WorkloadGenerator gen(std::move(trace), wc);
   const auto workload = gen.epoch(rng);
   std::multiset<std::uint64_t> shard_counts;
@@ -216,13 +197,13 @@ TEST(WorkloadTest, DealAllWithAsManyCommitteesAsBlocksIsAPermutation) {
 }
 
 TEST(WorkloadTest, DealAllKeyedEpochsArePureAndDistinct) {
+  // |I| == #blocks, so every epoch deals all blocks.
   Rng rng(13);
   TraceGeneratorConfig tc;
-  tc.num_blocks = 120;
-  tc.target_total_txs = 120'000;
+  tc.num_blocks = 12;
+  tc.target_total_txs = 12'000;
   WorkloadConfig wc;
   wc.num_committees = 12;
-  wc.fill = ShardFill::kDealAllBlocks;
   const WorkloadGenerator gen(generate_trace(tc, rng), wc);
   const auto e2 = gen.epoch_keyed(99, 2);
   (void)gen.epoch_keyed(99, 0);  // unrelated epochs must not perturb a replay

@@ -89,12 +89,15 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "analysis/theory.hpp"
@@ -118,6 +121,24 @@
 
 namespace {
 
+/// A numeric flag whose value is not a whole number token; main() prints
+/// the message and exits 2, like any other usage error.
+struct BadFlagValue : std::runtime_error {
+  BadFlagValue(const std::string& key, const std::string& token)
+      : std::runtime_error("bad value for --" + key + ": " + token) {}
+};
+
+/// Parses the whole of `token` as a T (no sign on unsigned types, no
+/// trailing characters), the rule the trace CSV reader applies too.
+template <typename T>
+T parse_number(const std::string& key, const std::string& token) {
+  T value{};
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (ec != std::errc{} || ptr != end) throw BadFlagValue(key, token);
+  return value;
+}
+
 /// Tiny `--flag value` parser: positionals + a string map.
 struct Args {
   std::vector<std::string> positional;
@@ -126,12 +147,13 @@ struct Args {
   [[nodiscard]] std::uint64_t get_u64(const std::string& key,
                                       std::uint64_t fallback) const {
     const auto it = flags.find(key);
-    return it == flags.end() ? fallback : std::stoull(it->second);
+    return it == flags.end() ? fallback
+                             : parse_number<std::uint64_t>(key, it->second);
   }
   [[nodiscard]] double get_f64(const std::string& key,
                                double fallback) const {
     const auto it = flags.find(key);
-    return it == flags.end() ? fallback : std::stod(it->second);
+    return it == flags.end() ? fallback : parse_number<double>(key, it->second);
   }
 };
 
@@ -251,7 +273,9 @@ int cmd_xshard(const Args& args) {
     std::string token;
     for (const char c : it->second + ",") {
       if (c == ',') {
-        if (!token.empty()) ratios.push_back(std::stod(token));
+        if (!token.empty()) {
+          ratios.push_back(parse_number<double>("ratios", token));
+        }
         token.clear();
       } else {
         token += c;
@@ -822,6 +846,9 @@ int main(int argc, char** argv) {
     if (command == "serve") return cmd_serve(*args);
     if (command == "chaos") return cmd_chaos(*args);
     if (command == "xshard") return cmd_xshard(*args);
+  } catch (const BadFlagValue& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "mvcom %s: %s\n", command.c_str(), e.what());
     return 1;
