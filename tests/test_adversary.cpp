@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -287,6 +288,56 @@ TEST(AdversaryCampaignTest, LadderNeverInfeasibleWhileFeasibleExists) {
         run_adversarial_campaign(trace, campaign_config(s, true, 3), 19);
     EXPECT_FALSE(result.infeasible_while_feasible)
         << mvcom::core::to_string(s);
+  }
+}
+
+// The replay witnesses `mvcom chaos --adversary <s> --epochs 3 --seed 5
+// [--risk 0]` prints, pinned as literals: the CLI's campaign on its own
+// trace (64 blocks × 1000 TXs, trace seed = seed + 1). The obs events digest
+// is pinned only when observability is compiled in — the MVCOM_OBS=OFF build
+// records no events, but its decisions must match bit for bit.
+TEST(AdversaryCampaignTest, CliWitnessesArePinned) {
+  struct Pin {
+    AdversaryStrategy strategy;
+    bool risk_adaptive;
+    std::uint64_t decision_digest;
+    std::uint64_t events_digest;
+  };
+  constexpr Pin kPins[] = {
+      {AdversaryStrategy::kTargetedCorruption, true, 0xabc97006c84438deULL,
+       0x1a051d6c87e9a3b4ULL},
+      {AdversaryStrategy::kTargetedCorruption, false, 0xace70e1a7b7e7865ULL,
+       0x659092eff609382aULL},
+      {AdversaryStrategy::kColludingMisreport, true, 0x5b00f6da358bd83bULL,
+       0x76fa1c9077cefc52ULL},
+      {AdversaryStrategy::kColludingMisreport, false, 0x5b00f6da358bd83bULL,
+       0x76fa1c9077cefc52ULL},
+      {AdversaryStrategy::kAdaptiveDos, true, 0x3265760138d90380ULL,
+       0x0524e30c5d293fafULL},
+      {AdversaryStrategy::kAdaptiveDos, false, 0xcabe4b12dad4c601ULL,
+       0xe39d0392098fee73ULL},
+      {AdversaryStrategy::kChurnStorm, true, 0x53b22d6ce0bc1c2aULL,
+       0x7a09ba44fa1d8bdeULL},
+      {AdversaryStrategy::kChurnStorm, false, 0x40a0a29673a15ac3ULL,
+       0xcdd37da4a5d96462ULL},
+  };
+  constexpr std::uint64_t kSeed = 5;
+  const auto trace = test_trace(kSeed + 1);
+  for (const Pin& pin : kPins) {
+    mvcom::obs::TraceRecorder recorder;
+    auto config = campaign_config(pin.strategy, pin.risk_adaptive, 3);
+    config.chaos.obs = {nullptr, &recorder};
+    const CampaignResult result =
+        run_adversarial_campaign(trace, config, kSeed);
+    const std::string label =
+        std::string(mvcom::core::to_string(pin.strategy)) +
+        (pin.risk_adaptive ? " risk on" : " risk off");
+    EXPECT_EQ(result.decision_digest, pin.decision_digest) << label;
+    if (mvcom::obs::kEnabled) {
+      EXPECT_EQ(mvcom::obs::events_digest(recorder.snapshot()),
+                pin.events_digest)
+          << label;
+    }
   }
 }
 

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "common/fnv.hpp"
 #include "common/rng.hpp"
 #include "sharding/elastico.hpp"
 #include "sharding/verification.hpp"
@@ -173,6 +174,49 @@ TEST(ChaosEpochTest, RunsAreDeterministicPerSeed) {
   EXPECT_EQ(a.recoveries_detected, b.recoveries_detected);
   EXPECT_DOUBLE_EQ(a.final_decision.decision.utility,
                    b.final_decision.decision.utility);
+}
+
+// One capacity-bound epoch under a randomized plan with every drawable fault
+// kind (three failures, two recoveries, two strikes, a dropped send; the
+// timeline visits se-best, greedy-scratch and infeasible), folded into a
+// literal: the DDL decision's tier, permitted ids and utility bits, every
+// sampled timeline point, and the admission and detector counts.
+TEST(ChaosEpochTest, ReportFoldIsPinned) {
+  const auto committees = workload_committees(12, 9);
+  FaultPlanConfig pc;
+  pc.equivocations = 1;
+  pc.loss_bursts = 1;
+  Rng plan_rng(4242);
+  const FaultPlan plan = FaultPlan::randomized(pc, committees.size(), plan_rng);
+  const ChaosReport report =
+      run_chaos_epoch(committees, plan, chaos_config(12, 9'000), 3);
+  std::uint64_t h = mvcom::common::kFnv1aBasis;
+  const auto fold = [&h](std::uint64_t v) {
+    h = mvcom::common::fnv1a_mix(h, v);
+  };
+  const auto fold_f64 = [&fold](double d) {
+    std::uint64_t bits;
+    static_assert(sizeof bits == sizeof d);
+    __builtin_memcpy(&bits, &d, sizeof bits);
+    fold(bits);
+  };
+  const auto& decision = report.final_decision;
+  fold(static_cast<std::uint64_t>(decision.tier));
+  fold(decision.decision.feasible ? 1 : 0);
+  for (const std::uint32_t id : decision.decision.permitted_ids) fold(id);
+  fold_f64(decision.decision.utility);
+  for (const auto& point : report.timeline) {
+    fold(static_cast<std::uint64_t>(point.tier));
+    fold(point.feasible ? 1 : 0);
+    fold_f64(point.utility);
+  }
+  for (const std::uint64_t count :
+       {report.admitted, report.readmitted, report.quarantine_events,
+        report.refused, report.dropped_submissions, report.failures_detected,
+        report.recoveries_detected}) {
+    fold(count);
+  }
+  EXPECT_EQ(h, 0xb4bf4fa6cbf5fbe5ULL) << std::hex << h;
 }
 
 TEST(ChaosEpochTest, RandomizedSchedulesNeverReportInfeasibleWhileFeasible) {
