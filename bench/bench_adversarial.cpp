@@ -45,8 +45,8 @@ void print_pass(const char* criterion, bool ok) {
   std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", criterion);
 }
 
-/// Mirrors `mvcom chaos --adversary` defaults (tools/mvcom_cli.cpp), so the
-/// bench numbers are reproducible from the CLI.
+/// `mvcom chaos --adversary` at its defaults, so the bench numbers are
+/// reproducible from the CLI.
 CampaignConfig campaign_config(AdversaryStrategy strategy, double budget,
                                bool risk_adaptive) {
   CampaignConfig config;
@@ -56,18 +56,8 @@ CampaignConfig campaign_config(AdversaryStrategy strategy, double budget,
   config.epochs = kEpochs;
   config.reserve =
       strategy == AdversaryStrategy::kChurnStorm ? kCommittees : 0;
-  auto& sched = config.chaos.supervisor.scheduler;
-  sched.alpha = 1.5;
-  sched.capacity = 725 * kCommittees;
-  sched.expected_committees = kCommittees + config.reserve;
-  sched.n_max_fraction = 1.0;
-  if (config.reserve > 0) {
-    sched.n_min_fraction = 0.5 * static_cast<double>(kCommittees) /
-                           static_cast<double>(kCommittees + config.reserve);
-  }
-  config.chaos.supervisor.risk.enabled = risk_adaptive;
-  config.chaos.supervisor.risk.escalation_step = 1.2;
-  config.chaos.supervisor.risk.boost_cap = 8;
+  config.capacity = mvcom::core::kCampaignCapacityPerCommittee * kCommittees;
+  config.risk_adaptive = risk_adaptive;
   return config;
 }
 

@@ -56,7 +56,6 @@ int main() {
   config.supervisor.scheduler.capacity = 1000 * kCommittees;
   config.supervisor.scheduler.expected_committees = kCommittees;
   config.ddl_seconds = 1800.0;
-  config.explore_tick_seconds = 20.0;
 
   const auto id_of = [&](std::size_t i) {
     return committees[i].submission.committee_id;

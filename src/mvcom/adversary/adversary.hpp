@@ -68,7 +68,7 @@ struct AdversaryConfig {
   /// on kChurnMultiplier (churn-storm). The degradation-curve bench sweeps
   /// this axis.
   double budget = 0.25;
-  /// Forged-claim multiplier for colluding-misreport submissions.
+  /// Forged-claim multiplier of the forged submissions (finite, > 1).
   double inflation = 3.0;
 };
 
@@ -84,6 +84,8 @@ struct EpochObservation {
 
 class Adversary {
  public:
+  /// Throws std::invalid_argument unless the budget is in [0, 1] and the
+  /// inflation is finite and > 1.
   Adversary(AdversaryConfig config, std::uint64_t seed);
 
   /// Plans epoch `epoch_index`'s fault schedule against `committees` (the

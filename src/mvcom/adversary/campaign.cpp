@@ -39,6 +39,21 @@ CampaignResult run_adversarial_campaign(const txn::Trace& trace,
   wc.num_committees = config.committees + config.reserve;
   const txn::WorkloadGenerator gen(trace, wc);
   const Adversary adversary(config.adversary, seed);
+  // Every epoch's harness, in the campaign regime (see CampaignConfig).
+  ChaosConfig chaos;
+  OnlineSchedulerConfig& sched = chaos.supervisor.scheduler;
+  sched.alpha = config.alpha;
+  sched.capacity = config.capacity;
+  sched.expected_committees = config.committees + config.reserve;
+  sched.n_max_fraction = 1.0;
+  if (config.reserve > 0) {
+    sched.n_min_fraction = 0.5 * static_cast<double>(config.committees) /
+                           static_cast<double>(config.committees +
+                                               config.reserve);
+  }
+  chaos.supervisor.risk_adaptive = config.risk_adaptive;
+  chaos.ddl_seconds = config.ddl_seconds;
+  chaos.obs = config.obs;
 
   CampaignResult result;
   result.epochs.reserve(config.epochs);
@@ -64,9 +79,8 @@ CampaignResult run_adversarial_campaign(const txn::Trace& trace,
     const FaultPlan plan =
         adversary.plan_epoch(e, initial, reserve.size(), last);
 
-    ChaosConfig chaos = config.chaos;
     chaos.reserve = reserve;
-    chaos.carry_in = e > 0 ? &carry : config.chaos.carry_in;
+    chaos.carry_in = e > 0 ? &carry : nullptr;
     const std::uint64_t epoch_seed =
         common::Rng::stream(seed, 2 * e + kHarnessStream)();
 

@@ -27,16 +27,30 @@
 
 namespace mvcom::core {
 
+/// Ĉ per member committee of the campaign regime: modest slack past
+/// N_min·E[s_i] (~1088 TXs per shard), so a lone inflated claim still fits
+/// beside the N_min−1 smallest honest shards — the crowding-out regime the
+/// risk-adaptive defense exists for.
+inline constexpr std::uint64_t kCampaignCapacityPerCommittee = 725;
+
+/// The campaign derives each epoch's ChaosConfig from these. Its admission
+/// window admits the whole membership and every joiner (N_max = 100% of
+/// committees + reserve), since an N_max cutoff below the membership
+/// depletes the honest pool — exactly what lets a forged claim fit inside
+/// the capacity at the feasibility-frontier N_min — and keeps the effective
+/// N_min at 50% of the initial `committees`.
 struct CampaignConfig {
-  /// Per-epoch harness template. The campaign fills in `reserve` and
-  /// `carry_in` itself; everything else (supervisor, DDL, obs sinks) is
-  /// taken as given.
-  ChaosConfig chaos{};
   AdversaryConfig adversary{};
   std::size_t epochs = 6;
   std::size_t committees = 20;
   /// Join-reserve pool size per epoch (churn-storm needs > 0).
   std::size_t reserve = 0;
+  double alpha = 1.5;
+  std::uint64_t capacity = 0;  // Ĉ — required, > 0
+  double ddl_seconds = 1800.0;
+  bool risk_adaptive = false;  // SupervisorConfig::risk_adaptive
+  /// Observability sinks, wired into every epoch's harness run.
+  obs::ObsContext obs{};
 };
 
 struct EpochOutcome {

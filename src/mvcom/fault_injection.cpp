@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "net/latency.hpp"
@@ -115,6 +116,18 @@ struct PendingSubmission {
   bool delivered = false;
 };
 
+/// An inflated transaction count as an integer. Throws std::invalid_argument
+/// unless `count` is a number in [0, 2^64): casting anything else to
+/// std::uint64_t is undefined behavior.
+std::uint64_t checked_count(double count) {
+  constexpr double kTwoTo64 = 18446744073709551616.0;
+  if (!(count >= 0.0 && count < kTwoTo64)) {
+    throw std::invalid_argument(
+        "inflated transaction count is not a 64-bit count");
+  }
+  return static_cast<std::uint64_t>(count);
+}
+
 /// Forges a verification-passing equivocation: the honest entries plus one
 /// fabricated block, re-committed so root and count check out — only the
 /// supervisor's equivocation tracking can catch it.
@@ -122,9 +135,8 @@ sharding::ShardSubmission forge_equivocation(
     const sharding::ShardSubmission& honest, double inflation) {
   std::vector<sharding::ShardEntry> entries = honest.entries;
   const std::uint64_t extra = std::max<std::uint64_t>(
-      1, static_cast<std::uint64_t>(
-             static_cast<double>(honest.claimed_tx_count) *
-             (inflation - 1.0)));
+      1, checked_count(static_cast<double>(honest.claimed_tx_count) *
+                       (inflation - 1.0)));
   entries.push_back({"forged-" + std::to_string(honest.committee_id), extra});
   return sharding::build_submission(honest.committee_id, std::move(entries));
 }
@@ -325,13 +337,13 @@ ChaosReport run_chaos_epoch(const std::vector<ChaosCommittee>& committees,
           // still binds the honest counts, so admission verification must
           // catch the lie.
           auto& s = members[i].pending.submission;
-          s.claimed_tx_count = static_cast<std::uint64_t>(
+          s.claimed_tx_count = checked_count(
               static_cast<double>(s.claimed_tx_count) * event.magnitude +
               1.0);
         } else {
           // Already admitted honestly: send the inflated claim now.
           sharding::ShardSubmission lie = members[i].honest;
-          lie.claimed_tx_count = static_cast<std::uint64_t>(
+          lie.claimed_tx_count = checked_count(
               static_cast<double>(lie.claimed_tx_count) * event.magnitude +
               1.0);
           submit(i, lie);
@@ -397,22 +409,21 @@ ChaosReport run_chaos_epoch(const std::vector<ChaosCommittee>& committees,
     point.utility = d.decision.utility;
     report.timeline.push_back(point);
     if (!d.decision.feasible &&
-        feasible_selection_exists(supervisor.scheduler().reports(),
-                                  config.supervisor.scheduler.capacity,
-                                  supervisor.scheduler().n_min())) {
+        minimal_feasible(supervisor.scheduler().reports(),
+                         config.supervisor.scheduler.capacity,
+                         supervisor.scheduler().n_min())) {
       report.infeasible_while_feasible = true;
     }
   };
   std::function<void()> tick = [&] {
     supervisor.explore(kIterationsPerTick);
     sample();
-    const double next =
-        simulator.now().seconds() + config.explore_tick_seconds;
+    const double next = simulator.now().seconds() + kExploreTickSeconds;
     if (next < config.ddl_seconds) {
       simulator.schedule_at(common::SimTime(next), tick);
     }
   };
-  simulator.schedule_at(common::SimTime(config.explore_tick_seconds), tick);
+  simulator.schedule_at(common::SimTime(kExploreTickSeconds), tick);
 
   simulator.run_until(common::SimTime(config.ddl_seconds));
 

@@ -107,10 +107,13 @@ struct ChaosCommittee {
 [[nodiscard]] std::vector<ChaosCommittee> chaos_committees_from_reports(
     std::span<const txn::ShardReport> reports);
 
+/// Period of the harness's SE exploration pump, which also samples decide()
+/// into the timeline.
+inline constexpr double kExploreTickSeconds = 20.0;
+
 struct ChaosConfig {
   SupervisorConfig supervisor{};
-  double ddl_seconds = 1800.0;         // when decide() is taken
-  double explore_tick_seconds = 20.0;  // SE exploration pump + sampling
+  double ddl_seconds = 1800.0;  // when decide() is taken
   /// Committees available to kJoin events. FaultEvent::committee_id indexes
   /// this pool by position; each reserve committee answers pings on the node
   /// after the initial members' (allocated up front — Network's node count
@@ -166,7 +169,7 @@ struct ChaosReport {
   /// Supervision state the next epoch should adopt (ChaosConfig::carry_in).
   SupervisorCarry carry_out{};
   /// True if any sampled decide() reported infeasible while
-  /// feasible_selection_exists held on the live set — the acceptance
+  /// minimal_feasible found a witness on the live set — the acceptance
   /// criterion the ladder must never violate.
   bool infeasible_while_feasible = false;
 };

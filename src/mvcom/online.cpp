@@ -14,7 +14,27 @@ namespace {
 /// SE iterations run opportunistically after every accepted event.
 constexpr std::size_t kIterationsPerEvent = 50;
 
+/// Matches the report of committee `id`.
+auto of_committee(std::uint32_t id) {
+  return [id](const txn::ShardReport& r) { return r.committee_id == id; };
+}
+
 }  // namespace
+
+SchedulingDecision make_decision(const EpochInstance& instance,
+                                 const Selection& selection) {
+  SchedulingDecision decision;
+  decision.feasible = true;
+  decision.utility = instance.utility(selection);
+  decision.valuable_degree = instance.valuable_degree(selection);
+  decision.permitted_txs = instance.permitted_txs(selection);
+  for (std::size_t i = 0; i < selection.size(); ++i) {
+    if (selection[i]) {
+      decision.permitted_ids.push_back(instance.committees()[i].id);
+    }
+  }
+  return decision;
+}
 
 OnlineCommitteeScheduler::OnlineCommitteeScheduler(
     OnlineSchedulerConfig config, std::uint64_t seed)
@@ -51,9 +71,16 @@ OnlineCommitteeScheduler::OnlineCommitteeScheduler(
   }
 }
 
-EpochInstance OnlineCommitteeScheduler::build_instance() const {
+EpochInstance OnlineCommitteeScheduler::instance() const {
   return EpochInstance::from_reports(reports_, config_.alpha,
                                      config_.capacity, n_min_);
+}
+
+const txn::ShardReport* OnlineCommitteeScheduler::failed_report(
+    std::uint32_t committee_id) const {
+  const auto it =
+      std::find_if(failed_.begin(), failed_.end(), of_committee(committee_id));
+  return it != failed_.end() ? &*it : nullptr;
 }
 
 void OnlineCommitteeScheduler::try_bootstrap() {
@@ -61,7 +88,7 @@ void OnlineCommitteeScheduler::try_bootstrap() {
   if (reports_.size() <= n_min_) return;
   if (total_txs_ <= config_.capacity) return;  // capacity slack: nothing yet
   // Alg. 1 line 1 satisfied: start exploring.
-  scheduler_.emplace(build_instance(), config_.se, seed_);
+  scheduler_.emplace(instance(), config_.se, seed_);
   scheduler_->set_obs(obs_);
   if (auto* t = obs_.trace()) {
     t->instant("epoch", "epoch/bootstrap",
@@ -99,11 +126,10 @@ bool OnlineCommitteeScheduler::on_report(const txn::ShardReport& report) {
     return false;
   };
   if (!listening_) return refused();
-  const auto duplicate = std::any_of(
-      reports_.begin(), reports_.end(), [&](const txn::ShardReport& r) {
-        return r.committee_id == report.committee_id;
-      });
-  if (duplicate) return refused();
+  if (std::any_of(reports_.begin(), reports_.end(),
+                  of_committee(report.committee_id))) {
+    return refused();  // duplicate
+  }
   // Refuse a report whose claimed shard size would wrap the 64-bit Σ s
   // bookkeeping (EpochInstance construction rejects such sets outright; an
   // adversarial committee must not be able to crash the listening loop).
@@ -130,18 +156,14 @@ bool OnlineCommitteeScheduler::on_report(const txn::ShardReport& report) {
 }
 
 void OnlineCommitteeScheduler::on_failure(std::uint32_t committee_id) {
-  const auto it = std::find_if(
-      reports_.begin(), reports_.end(), [&](const txn::ShardReport& r) {
-        return r.committee_id == committee_id;
-      });
+  const auto it =
+      std::find_if(reports_.begin(), reports_.end(), of_committee(committee_id));
   if (it == reports_.end()) return;
+  std::erase_if(failed_, of_committee(committee_id));
+  failed_.push_back(*it);
   total_txs_ -= it->tx_count;
   reports_.erase(it);
   if (obs_failures_ != nullptr) obs_failures_->inc();
-  if (std::find(failed_ids_.begin(), failed_ids_.end(), committee_id) ==
-      failed_ids_.end()) {
-    failed_ids_.push_back(committee_id);
-  }
   if (scheduler_) {
     if (reports_.empty()) {
       scheduler_.reset();  // nothing left to schedule over
@@ -159,15 +181,14 @@ bool OnlineCommitteeScheduler::on_recovery(const txn::ShardReport& report) {
   // admit brand-new committees past the N_max cutoff (and an equivocating
   // live committee could "recover" with a different s_i on top of its
   // standing report — the duplicate check below refuses that too).
-  const auto failed_it =
-      std::find(failed_ids_.begin(), failed_ids_.end(), report.committee_id);
-  if (failed_it == failed_ids_.end()) return false;
+  const std::uint32_t id = report.committee_id;  // `report` may be in failed_
+  if (failed_report(id) == nullptr) return false;
   const bool was_listening = listening_;
   listening_ = true;
   const bool accepted = on_report(report);
   listening_ = was_listening && listening_;
   if (accepted) {
-    failed_ids_.erase(failed_it);
+    std::erase_if(failed_, of_committee(id));
     if (obs_recoveries_ != nullptr) obs_recoveries_->inc();
   }
   return accepted;
@@ -191,45 +212,35 @@ void OnlineCommitteeScheduler::explore(std::size_t iterations) {
   scheduler_->advance(iterations);
 }
 
-SchedulingDecision OnlineCommitteeScheduler::decide() const {
-  SchedulingDecision decision;
-  if (reports_.empty()) return decision;
-
-  Selection best;
-  const EpochInstance instance = build_instance();
-  if (scheduler_) {
-    best = scheduler_->current_selection();
-    // The scheduler's internal instance matches reports_ (kept in lock-step
-    // by on_report/on_failure/on_recovery); guard regardless. A size-only
-    // comparison cannot see id misalignment — after interleaved failures and
-    // recoveries the two sets could in principle hold the same COUNT of
-    // committees in different order or membership, and selection bits would
-    // silently apply to the wrong committees. Compare ids element-wise.
-    const auto& sched_committees = scheduler_->instance().committees();
-    bool aligned = best.size() == instance.size() &&
-                   sched_committees.size() == instance.size();
-    for (std::size_t i = 0; aligned && i < instance.size(); ++i) {
-      aligned = sched_committees[i].id == instance.committees()[i].id;
-    }
-    if (!aligned) best.clear();
+Selection OnlineCommitteeScheduler::se_selection() const {
+  if (!scheduler_) return {};
+  Selection selection = scheduler_->current_selection();
+  // SE's instance is kept in lock-step with reports_ by on_report /
+  // on_failure / on_recovery; guard regardless. A size-only comparison
+  // cannot see id misalignment — after interleaved failures and recoveries
+  // the two sets could hold the same COUNT of committees in different order
+  // or membership. Compare ids element-wise.
+  const auto& committees = scheduler_->instance().committees();
+  bool aligned = selection.size() == reports_.size() &&
+                 committees.size() == reports_.size();
+  for (std::size_t i = 0; aligned && i < reports_.size(); ++i) {
+    aligned = committees[i].id == reports_[i].committee_id;
   }
+  if (!aligned) selection.clear();
+  return selection;
+}
+
+SchedulingDecision OnlineCommitteeScheduler::decide() const {
+  if (reports_.empty()) return {};
+  const EpochInstance current = instance();
+  Selection best = se_selection();
   if (best.empty()) {
     // Not bootstrapped (capacity slack): permit everything if feasible.
-    Selection everyone(instance.size(), 1);
-    if (instance.feasible(everyone)) best = std::move(everyone);
+    Selection everyone(current.size(), 1);
+    if (current.feasible(everyone)) best = std::move(everyone);
   }
-  if (best.empty() || !instance.feasible(best)) return decision;
-
-  decision.feasible = true;
-  decision.utility = instance.utility(best);
-  decision.valuable_degree = instance.valuable_degree(best);
-  decision.permitted_txs = instance.permitted_txs(best);
-  for (std::size_t i = 0; i < best.size(); ++i) {
-    if (best[i]) {
-      decision.permitted_ids.push_back(instance.committees()[i].id);
-    }
-  }
-  return decision;
+  if (best.empty() || !current.feasible(best)) return {};
+  return make_decision(current, best);
 }
 
 }  // namespace mvcom::core

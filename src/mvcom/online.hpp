@@ -49,6 +49,12 @@ struct SchedulingDecision {
   std::uint64_t permitted_txs = 0;
 };
 
+/// The feasible decision that permits `selection` over `instance` (the
+/// caller has checked feasibility): its utility, valuable degree, permitted
+/// TXs and the permitted committee ids in instance order.
+[[nodiscard]] SchedulingDecision make_decision(const EpochInstance& instance,
+                                               const Selection& selection);
+
 class OnlineCommitteeScheduler {
  public:
   OnlineCommitteeScheduler(OnlineSchedulerConfig config, std::uint64_t seed);
@@ -97,16 +103,21 @@ class OnlineCommitteeScheduler {
   [[nodiscard]] const std::vector<txn::ShardReport>& reports() const noexcept {
     return reports_;
   }
+  /// The scheduling instance over the live reports at the current N_min.
+  [[nodiscard]] EpochInstance instance() const;
+  /// The last report of a committee that failed and has not recovered since
+  /// — what on_recovery would re-admit — or nullptr for any other id.
+  [[nodiscard]] const txn::ShardReport* failed_report(
+      std::uint32_t committee_id) const;
   /// Running Σ tx_count over the live reports (kept incrementally — the
   /// admission loop must not rescan all reports per arrival).
   [[nodiscard]] std::uint64_t total_reported_txs() const noexcept {
     return total_txs_;
   }
-  /// The underlying SE scheduler, nullptr before bootstrap. Exposed for
-  /// supervision layers that need the raw selection for fallback repair.
-  [[nodiscard]] const SeScheduler* se() const noexcept {
-    return scheduler_ ? &*scheduler_ : nullptr;
-  }
+  /// SE's current selection over reports(): empty before bootstrap, and
+  /// empty when SE's committees are not the live reports id for id, in
+  /// order (its bits would then land on the wrong committees).
+  [[nodiscard]] Selection se_selection() const;
 
   /// Produces the current best selection (the epoch's final answer).
   [[nodiscard]] SchedulingDecision decide() const;
@@ -117,7 +128,6 @@ class OnlineCommitteeScheduler {
 
  private:
   void try_bootstrap();
-  [[nodiscard]] EpochInstance build_instance() const;
 
   OnlineSchedulerConfig config_;
   std::uint64_t seed_;
@@ -126,7 +136,8 @@ class OnlineCommitteeScheduler {
   bool listening_ = true;
   std::vector<txn::ShardReport> reports_;  // live (non-failed) committees
   std::uint64_t total_txs_ = 0;            // Σ tx_count over reports_ (cached)
-  std::vector<std::uint32_t> failed_ids_;  // ids eligible for on_recovery
+  /// Last report of each failed committee; these ids may use on_recovery.
+  std::vector<txn::ShardReport> failed_;
   std::optional<SeScheduler> scheduler_;
 
   obs::ObsContext obs_;

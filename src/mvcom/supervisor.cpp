@@ -28,44 +28,7 @@ void fill_decision(SupervisedDecision& out, const EpochInstance& instance,
                    const Selection& selection, DecisionTier tier) {
   out.tier = tier;
   out.reason = InfeasibleReason::kNone;
-  out.decision.feasible = true;
-  out.decision.utility = instance.utility(selection);
-  out.decision.valuable_degree = instance.valuable_degree(selection);
-  out.decision.permitted_txs = instance.permitted_txs(selection);
-  out.decision.permitted_ids.clear();
-  for (std::size_t i = 0; i < selection.size(); ++i) {
-    if (selection[i]) {
-      out.decision.permitted_ids.push_back(instance.committees()[i].id);
-    }
-  }
-}
-
-/// The N_min smallest shards — the cheapest witness of Eq. (3)+(4)
-/// feasibility. Empty optional when even that witness exceeds Ĉ.
-std::optional<Selection> minimal_feasible(const EpochInstance& instance) {
-  const std::size_t n_min = instance.n_min();
-  if (n_min > instance.size()) return std::nullopt;
-  if (n_min == 0) return Selection(instance.size(), 0);
-  std::vector<std::size_t> order(instance.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  // Only the N_min smallest matter — a partial select keeps this decide()
-  // fallback O(I) at 50k committees. Ties break by index so the witness is
-  // deterministic.
-  std::nth_element(order.begin(),
-                   order.begin() + static_cast<std::ptrdiff_t>(n_min - 1),
-                   order.end(), [&](std::size_t a, std::size_t b) {
-                     const std::uint64_t ta = instance.committees()[a].txs;
-                     const std::uint64_t tb = instance.committees()[b].txs;
-                     return ta != tb ? ta < tb : a < b;
-                   });
-  Selection x(instance.size(), 0);
-  std::uint64_t txs = 0;
-  for (std::size_t k = 0; k < n_min; ++k) {
-    txs += instance.committees()[order[k]].txs;
-    x[order[k]] = 1;
-  }
-  if (txs > instance.capacity()) return std::nullopt;
-  return x;
+  out.decision = make_decision(instance, selection);
 }
 
 }  // namespace
@@ -104,37 +67,39 @@ const char* to_string(InfeasibleReason reason) noexcept {
   return "unknown";
 }
 
-bool feasible_selection_exists(std::span<const txn::ShardReport> reports,
-                               std::uint64_t capacity, std::size_t n_min) {
-  if (reports.size() < n_min) return false;
-  if (n_min == 0) return true;  // the empty selection satisfies both bounds
-  std::vector<std::uint64_t> sizes;
-  sizes.reserve(reports.size());
-  for (const txn::ShardReport& r : reports) sizes.push_back(r.tx_count);
-  std::nth_element(sizes.begin(),
-                   sizes.begin() + static_cast<std::ptrdiff_t>(n_min - 1),
-                   sizes.end());
+std::optional<Selection> minimal_feasible(
+    std::span<const txn::ShardReport> reports, std::uint64_t capacity,
+    std::size_t n_min) {
+  if (reports.size() < n_min) return std::nullopt;
+  Selection x(reports.size(), 0);
+  if (n_min == 0) return x;  // the empty selection satisfies both bounds
+  std::vector<std::size_t> order(reports.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  // Only the N_min smallest matter — a partial select keeps this decide()
+  // fallback O(I) at 50k committees. Ties break by position so the witness
+  // is deterministic.
+  std::nth_element(order.begin(),
+                   order.begin() + static_cast<std::ptrdiff_t>(n_min - 1),
+                   order.end(), [&](std::size_t a, std::size_t b) {
+                     const std::uint64_t ta = reports[a].tx_count;
+                     const std::uint64_t tb = reports[b].tx_count;
+                     return ta != tb ? ta < tb : a < b;
+                   });
   std::uint64_t total = 0;
-  for (std::size_t i = 0; i < n_min; ++i) {
-    if (sizes[i] > capacity - total) return false;  // overflow-safe
-    total += sizes[i];
+  for (std::size_t k = 0; k < n_min; ++k) {
+    const std::uint64_t txs = reports[order[k]].tx_count;
+    if (txs > capacity - total) return std::nullopt;  // overflow-safe
+    total += txs;
+    x[order[k]] = 1;
   }
-  return true;
+  return x;
 }
 
 EpochSupervisor::EpochSupervisor(SupervisorConfig config, std::uint64_t seed)
     : config_(config),
       scheduler_(config.scheduler, seed),
       rng_(seed ^ 0x5eb0a9d5u),
-      base_n_min_(scheduler_.n_min()) {
-  if (config_.ping_interval_seconds <= 0.0) {
-    throw std::invalid_argument("EpochSupervisor: ping_interval_seconds > 0");
-  }
-  if (config_.risk.enabled && (config_.risk.escalation_step <= 0.0 ||
-                               config_.risk.tighten_step <= 0.0)) {
-    throw std::invalid_argument("EpochSupervisor: bad risk-policy parameters");
-  }
-}
+      base_n_min_(scheduler_.n_min()) {}
 
 void EpochSupervisor::set_obs(obs::ObsContext obs) {
   obs_ = obs;
@@ -240,20 +205,20 @@ Admission EpochSupervisor::admit_submission(
     return h.banned ? Admission::kBanned : Admission::kQuarantined;
   }
 
-  const bool was_evicted = h.quarantined || h.failed ||
-                           evicted_from_scheduler_[submission.committee_id];
-  const bool accepted = evicted_from_scheduler_[submission.committee_id]
-                            ? scheduler_.on_recovery(report)
-                            : scheduler_.on_report(report);
+  // A report the scheduler saw fail re-enters through its recovery door,
+  // not the N_max-gated report door.
+  const bool evicted =
+      scheduler_.failed_report(submission.committee_id) != nullptr;
+  const bool was_evicted = h.quarantined || h.failed || evicted;
+  const bool accepted = evicted ? scheduler_.on_recovery(report)
+                                : scheduler_.on_report(report);
   if (!accepted) return Admission::kRefused;
 
-  evicted_from_scheduler_[submission.committee_id] = false;
   h.admitted = true;
   h.quarantined = false;
   h.failed = false;
   h.missed_pings = 0;
   h.verified_txs = verified_txs;
-  last_verified_[submission.committee_id] = report;
   // A new live report can unlock a previously clamped N_min boost.
   update_risk_policy();
   return was_evicted ? Admission::kReadmitted : Admission::kAdmitted;
@@ -265,7 +230,7 @@ void EpochSupervisor::strike(std::uint32_t committee_id,
   ++strikes_total_;
   health.quarantined = true;
   if (health.strikes >= effective_max_strikes() &&
-      (!config_.risk.enabled || ban_preserves_liveness())) {
+      (!config_.risk_adaptive || ban_preserves_liveness())) {
     health.banned = true;
   }
   if (obs_strikes_ != nullptr) obs_strikes_->inc();
@@ -278,7 +243,6 @@ void EpochSupervisor::strike(std::uint32_t committee_id,
   if (health.admitted) {
     // Its previously admitted report can no longer be trusted either.
     scheduler_.on_failure(committee_id);
-    evicted_from_scheduler_[committee_id] = true;
     health.admitted = false;
   }
   update_risk_policy();
@@ -297,7 +261,6 @@ void EpochSupervisor::on_failure(std::uint32_t committee_id) {
   record.utility_before = best_ladder_utility();
 
   scheduler_.on_failure(committee_id);
-  evicted_from_scheduler_[committee_id] = true;
   h.admitted = false;
 
   // Theorem 2 at runtime: the stationary-utility perturbation caused by the
@@ -335,12 +298,12 @@ bool EpochSupervisor::on_recovery(std::uint32_t committee_id) {
                {{"committee_id", static_cast<double>(committee_id)}});
   }
   if (h.banned || h.quarantined) return false;  // alive, but not trusted
-  const auto report_it = last_verified_.find(committee_id);
-  if (report_it == last_verified_.end()) return false;  // never submitted
-  if (!evicted_from_scheduler_[committee_id]) return false;
-  const bool accepted = scheduler_.on_recovery(report_it->second);
+  // The last verified report, held by the scheduler since the eviction;
+  // none when the committee never got a report admitted.
+  const txn::ShardReport* last = scheduler_.failed_report(committee_id);
+  if (last == nullptr) return false;
+  const bool accepted = scheduler_.on_recovery(*last);
   if (accepted) {
-    evicted_from_scheduler_[committee_id] = false;
     h.admitted = true;
     update_risk_policy();
   }
@@ -372,10 +335,9 @@ bool EpochSupervisor::ban_preserves_liveness() const noexcept {
 }
 
 int EpochSupervisor::effective_max_strikes() const noexcept {
-  if (!config_.risk.enabled) return kMaxStrikes;
+  if (!config_.risk_adaptive) return kMaxStrikes;
   const int tightened =
-      kMaxStrikes -
-      static_cast<int>(risk_score() / config_.risk.tighten_step);
+      kMaxStrikes - static_cast<int>(risk_score() / kRiskTightenStep);
   // Floor 2, never 1: banning first offenses under high carried risk lets a
   // broad attack convert the whole membership into bans within an epoch or
   // two (a liveness collapse the attacker would happily trade forgeries
@@ -384,11 +346,10 @@ int EpochSupervisor::effective_max_strikes() const noexcept {
 }
 
 void EpochSupervisor::update_risk_policy() {
-  if (!config_.risk.enabled) return;
+  if (!config_.risk_adaptive) return;
   const double risk = risk_score();
   std::size_t boost = std::min<std::size_t>(
-      config_.risk.boost_cap,
-      static_cast<std::size_t>(risk / config_.risk.escalation_step));
+      kRiskBoostCap, static_cast<std::size_t>(risk / kRiskEscalationStep));
   // Clamp 1 — bootstrap reachability: the online scheduler only starts
   // exploring once strictly more than N_min reports arrived, and arrivals
   // stop at N_max; a boost that pushed N_min to N_max would wedge it.
@@ -397,10 +358,9 @@ void EpochSupervisor::update_risk_policy() {
   // Clamp 2 — feasibility: never raise N_min past what the live reports can
   // satisfy (Eq. (3)+(4)). The defense must not manufacture an infeasible
   // epoch that the static supervisor would have solved.
-  while (boost > 0 &&
-         !feasible_selection_exists(scheduler_.reports(),
-                                    config_.scheduler.capacity,
-                                    base_n_min_ + boost)) {
+  while (boost > 0 && !minimal_feasible(scheduler_.reports(),
+                                         config_.scheduler.capacity,
+                                         base_n_min_ + boost)) {
     --boost;
   }
   const std::size_t target = base_n_min_ + boost;
@@ -472,11 +432,7 @@ void EpochSupervisor::attach_monitor(sim::Simulator& simulator,
   observer_ = observer;
   for (const auto& [id, node] : node_of_) {
     (void)node;
-    CommitteeHealth& h = health_[id];
-    if (h.ping_interval_seconds <= 0.0) {
-      h.ping_interval_seconds = config_.ping_interval_seconds;
-    }
-    schedule_probe(id, h.ping_interval_seconds);
+    schedule_probe(id, health_[id].ping_interval_seconds);
   }
 }
 
@@ -484,10 +440,7 @@ void EpochSupervisor::register_committee_node(std::uint32_t committee_id,
                                               net::NodeId node) {
   const bool known = node_of_.count(committee_id) != 0;
   node_of_[committee_id] = node;
-  CommitteeHealth& h = health_[committee_id];
-  if (h.ping_interval_seconds <= 0.0) {
-    h.ping_interval_seconds = config_.ping_interval_seconds;
-  }
+  const CommitteeHealth& h = health_[committee_id];
   if (simulator_ != nullptr && !known) {
     schedule_probe(committee_id, h.ping_interval_seconds);
   }
@@ -536,7 +489,7 @@ void EpochSupervisor::probe(std::uint32_t committee_id) {
     }
   } else {
     h.missed_pings = 0;
-    h.ping_interval_seconds = config_.ping_interval_seconds;
+    h.ping_interval_seconds = kPingIntervalSeconds;
     if (h.failed) on_recovery(committee_id);
   }
   schedule_probe(committee_id, h.ping_interval_seconds);
@@ -574,48 +527,32 @@ SupervisedDecision EpochSupervisor::decide() const {
 
 SupervisedDecision EpochSupervisor::run_ladder() const {
   SupervisedDecision out;
-  for (const FailureRecord& record : failures_) {
+  const auto account = [&out](const auto& record) {
     out.perturbation_bound =
         std::max(out.perturbation_bound, record.perturbation_bound);
     out.theorem2_respected = out.theorem2_respected && record.within_bound;
-  }
-  for (const ResizeRecord& record : resizes_) {
-    out.perturbation_bound =
-        std::max(out.perturbation_bound, record.perturbation_bound);
-    out.theorem2_respected = out.theorem2_respected && record.within_bound;
-  }
+  };
+  for (const FailureRecord& record : failures_) account(record);
+  for (const ResizeRecord& record : resizes_) account(record);
 
   const std::vector<txn::ShardReport>& reports = scheduler_.reports();
   if (reports.empty()) {
     out.reason = InfeasibleReason::kNoLiveCommittees;
     return out;
   }
-  const EpochInstance instance = EpochInstance::from_reports(
-      reports, config_.scheduler.alpha, config_.scheduler.capacity,
-      scheduler_.n_min());
+  const EpochInstance instance = scheduler_.instance();
 
   // Tier 1 — SE best: the converged stochastic-exploration answer.
-  Selection se_selection;
-  if (const SeScheduler* se = scheduler_.se()) {
-    se_selection = se->current_selection();
-    // Same id-alignment guard as OnlineCommitteeScheduler::decide().
-    const auto& sched_committees = se->instance().committees();
-    bool aligned = se_selection.size() == instance.size() &&
-                   sched_committees.size() == instance.size();
-    for (std::size_t i = 0; aligned && i < instance.size(); ++i) {
-      aligned = sched_committees[i].id == instance.committees()[i].id;
-    }
-    if (!aligned) se_selection.clear();
-    if (!se_selection.empty() && instance.feasible(se_selection)) {
-      fill_decision(out, instance, se_selection, DecisionTier::kSeBest);
-      return out;
-    }
+  const Selection se_selection = scheduler_.se_selection();
+  if (!se_selection.empty() && instance.feasible(se_selection)) {
+    fill_decision(out, instance, se_selection, DecisionTier::kSeBest);
+    return out;
   }
 
   // Tier 2 — greedy density repair of the SE selection: a late failure may
   // have broken feasibility of an otherwise good selection; shed/fill it
   // instead of discarding the exploration work.
-  if (se_selection.size() == instance.size()) {
+  if (!se_selection.empty()) {
     Selection repaired = se_selection;
     if (baselines::repair(instance, repaired) &&
         instance.feasible(repaired)) {
@@ -636,7 +573,8 @@ SupervisedDecision EpochSupervisor::run_ladder() const {
       return out;
     }
     if (instance.n_min() > 0) {
-      if (const auto witness = minimal_feasible(instance)) {
+      if (const auto witness = minimal_feasible(
+              reports, instance.capacity(), instance.n_min())) {
         fill_decision(out, instance, *witness, DecisionTier::kGreedyScratch);
         return out;
       }

@@ -91,34 +91,32 @@ enum class InfeasibleReason {
 [[nodiscard]] const char* to_string(InfeasibleReason reason) noexcept;
 
 /// Risk-adaptive committee-sizing policy (Blockguard / Zhang et al.: the
-/// committee structure must respond to the observed threat). The supervisor
-/// keeps a scalar risk score fed by detectable adversary signals — strikes
-/// (failed verifications + equivocations) and detector-declared failures —
-/// and translates it into two defensive knobs:
+/// committee structure must respond to the observed threat), switched on by
+/// SupervisorConfig::risk_adaptive. The supervisor keeps a scalar risk score
+/// fed by detectable adversary signals — strikes (failed verifications +
+/// equivocations) and detector-declared failures — and translates it into
+/// two defensive knobs:
 ///
 ///  * N_min escalation — raise the scheduler's N_min by one per
-///    `escalation_step` of risk (up to `boost_cap`). A wider mandatory
+///    kRiskEscalationStep of risk (up to kRiskBoostCap). A wider mandatory
 ///    selection under a binding capacity squeezes out inflated claims: the
 ///    knapsack must fit more committees, so a few huge (forged) shards can
 ///    no longer crowd out the honest ones.
 ///  * Strike-budget tightening — lower the effective max_strikes by one per
-///    `tighten_step` of risk (floor 2 — a first offense never bans, else a
+///    kRiskTightenStep of risk (floor 2 — a first offense never bans, else a
 ///    broad attack converts the membership into bans and collapses
 ///    liveness), so quarantine→ban escalation speeds up under attack.
 ///
-/// Every resize is clamped so that feasible_selection_exists still holds on
+/// Every resize is clamped so that minimal_feasible still finds a witness on
 /// the live reports at the raised N_min (and bootstrap stays reachable,
 /// N_min < N_max): the defense must never cause an infeasible epoch that a
 /// static supervisor would have solved. Each applied resize records
 /// Theorem-2 perturbation accounting (ResizeRecord), extending the failure
 /// bound to adaptive resizing: shrinking the feasible space perturbs the
 /// stationary optimum by at most the best utility on the larger space.
-struct RiskPolicyConfig {
-  bool enabled = false;
-  double escalation_step = 2.0; // risk per +1 N_min
-  std::size_t boost_cap = 8;    // max N_min raise over the static base
-  double tighten_step = 4.0;    // risk per −1 effective max_strikes
-};
+inline constexpr double kRiskEscalationStep = 1.2;  // risk per +1 N_min
+inline constexpr std::size_t kRiskBoostCap = 8;  // max raise over the base
+inline constexpr double kRiskTightenStep = 4.0;  // risk per −1 max_strikes
 
 /// Theorem-2 accounting of one risk-adaptive N_min resize, mirroring
 /// FailureRecord: the feasible-space change perturbs the certified optimum
@@ -160,6 +158,18 @@ struct FailureRecord {
   bool within_bound = true;         // |before − after| ≤ bound
 };
 
+/// Strikes (failed verifications / equivocations) before a permanent
+/// epoch-scoped ban (the risk policy may tighten it, floor 2).
+inline constexpr int kMaxStrikes = 3;
+/// Heartbeat monitor (§V-A ping failure detector): committees are probed
+/// every kPingIntervalSeconds while up; a ping whose RTT exceeds the timeout
+/// is missed; K consecutive misses declare the committee failed, after which
+/// its ping interval backs off by the factor per probe.
+inline constexpr double kPingIntervalSeconds = 30.0;
+inline constexpr double kPingTimeoutSeconds = 12.0;
+inline constexpr int kMissedPingsBeforeFailure = 3;  // K
+inline constexpr double kPingBackoffFactor = 2.0;
+
 /// Per-committee robustness state.
 struct CommitteeHealth {
   bool admitted = false;      // currently contributing to the instance
@@ -169,26 +179,15 @@ struct CommitteeHealth {
   int strikes = 0;
   int missed_pings = 0;
   std::uint64_t verified_txs = 0;  // s_i of the last verified submission
-  double ping_interval_seconds = 0.0;  // current (possibly backed-off)
+  /// Current probe interval (backed off while the committee is down).
+  double ping_interval_seconds = kPingIntervalSeconds;
 };
-
-/// Strikes (failed verifications / equivocations) before a permanent
-/// epoch-scoped ban (the risk policy may tighten it, floor 2).
-inline constexpr int kMaxStrikes = 3;
-/// Heartbeat monitor (§V-A ping failure detector): a ping whose RTT exceeds
-/// the timeout is missed; K consecutive misses declare the committee failed,
-/// after which its ping interval backs off by the factor per probe.
-inline constexpr double kPingTimeoutSeconds = 12.0;
-inline constexpr int kMissedPingsBeforeFailure = 3;  // K
-inline constexpr double kPingBackoffFactor = 2.0;
 
 struct SupervisorConfig {
   OnlineSchedulerConfig scheduler{};
-  /// Heartbeat monitor probe interval while the committee is up.
-  double ping_interval_seconds = 30.0;
-  /// Risk-adaptive committee sizing (disabled by default — the static
-  /// supervisor behaves exactly as before).
-  RiskPolicyConfig risk{};
+  /// Risk-adaptive committee sizing (off by default: the static supervisor
+  /// keeps the base N_min and the paper's unconditional ban).
+  bool risk_adaptive = false;
 };
 
 /// The epoch's final, tier-attributed answer.
@@ -202,13 +201,14 @@ struct SupervisedDecision {
   bool theorem2_respected = true;
 };
 
-/// True iff some selection over `reports` satisfies both Eq. (3) and
-/// Eq. (4): at least n_min reports exist and the n_min smallest shard sizes
-/// fit in `capacity` (any feasible selection's n_min smallest members weigh
-/// at least that much, so the test is exact). Used by the chaos harness to
-/// certify that the ladder never reports infeasible while a feasible
-/// selection exists.
-[[nodiscard]] bool feasible_selection_exists(
+/// The cheapest witness of Eq. (3)+(4) feasibility over `reports`: the
+/// selection of the n_min smallest shards (ties broken by position), or the
+/// empty selection when n_min = 0. nullopt when fewer than n_min reports
+/// exist or those n_min shards exceed `capacity` — then no selection is
+/// feasible, since any feasible selection's n_min smallest members weigh at
+/// least as much. The ladder's last-resort fill, the risk policy's clamp,
+/// and the chaos harness's never-infeasible-while-feasible check.
+[[nodiscard]] std::optional<Selection> minimal_feasible(
     std::span<const txn::ShardReport> reports, std::uint64_t capacity,
     std::size_t n_min);
 
@@ -322,10 +322,6 @@ class EpochSupervisor {
   double risk_carry_ = 0.0;        // adopted (decayed) prior-epoch risk
   std::vector<ResizeRecord> resizes_;
   std::map<std::uint32_t, CommitteeHealth> health_;
-  std::map<std::uint32_t, txn::ShardReport> last_verified_;
-  /// Ids whose report the wrapped scheduler saw fail (so re-admission goes
-  /// through its recovery door, not the N_max-gated report door).
-  std::map<std::uint32_t, bool> evicted_from_scheduler_;
   std::vector<FailureRecord> failures_;
   std::uint64_t failures_detected_ = 0;
   std::uint64_t recoveries_detected_ = 0;

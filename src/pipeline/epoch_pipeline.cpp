@@ -356,11 +356,8 @@ EpochReport EpochPipeline::schedule_epoch(FormedEpoch&& formed) {
   // forward with their absolute submission instants intact.
   for (std::size_t i = 0; i < shards.size(); ++i) {
     if (i < keep.size() && keep[i] != 0) {
-      txn::ShardBlocks provenance;
-      provenance.committee_id = shards[i].id;
-      provenance.block_indices = shards[i].block_indices;
       const txn::AgeProfile age =
-          txn::shard_age_profile(*trace_, provenance, commit);
+          txn::shard_age_profile(*trace_, shards[i].block_indices, commit);
       report.total_age += age.total_age;
       ++report.shards_committed;
     } else {

@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -52,8 +54,8 @@ std::vector<ChaosCommittee> test_committees(const mvcom::txn::Trace& trace,
   return chaos_committees_from_reports(gen.epoch_keyed(3, 0).reports);
 }
 
-/// Mirrors the CLI / bench campaign parameterization (20 committees,
-/// Ĉ = 725·|I|, full-membership admission window).
+/// The CLI / bench campaign parameterization (20 committees, Ĉ = 725·|I|,
+/// budget 0.35).
 CampaignConfig campaign_config(AdversaryStrategy strategy, bool risk_adaptive,
                                std::size_t epochs) {
   CampaignConfig config;
@@ -62,18 +64,8 @@ CampaignConfig campaign_config(AdversaryStrategy strategy, bool risk_adaptive,
   config.committees = 20;
   config.epochs = epochs;
   config.reserve = strategy == AdversaryStrategy::kChurnStorm ? 20u : 0u;
-  auto& sched = config.chaos.supervisor.scheduler;
-  sched.alpha = 1.5;
-  sched.capacity = 725 * 20;
-  sched.expected_committees = 20 + config.reserve;
-  sched.n_max_fraction = 1.0;
-  if (config.reserve > 0) {
-    sched.n_min_fraction =
-        0.5 * 20.0 / static_cast<double>(20 + config.reserve);
-  }
-  config.chaos.supervisor.risk.enabled = risk_adaptive;
-  config.chaos.supervisor.risk.escalation_step = 1.2;
-  config.chaos.supervisor.risk.boost_cap = 8;
+  config.capacity = mvcom::core::kCampaignCapacityPerCommittee * 20;
+  config.risk_adaptive = risk_adaptive;
   return config;
 }
 
@@ -101,6 +93,26 @@ TEST(AdversaryStrategyTest, ParseRoundTripsEveryStrategy) {
   }
   EXPECT_FALSE(mvcom::core::parse_adversary_strategy("mallory").has_value());
   EXPECT_FALSE(mvcom::core::parse_adversary_strategy("").has_value());
+}
+
+TEST(AdversaryTest, RejectsBudgetsOutsideTheUnitIntervalAndNonInflations) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double budget : {nan, -0.1, 1.5}) {
+    AdversaryConfig config;
+    config.budget = budget;
+    EXPECT_THROW(Adversary(config, 1), std::invalid_argument) << budget;
+  }
+  for (const double inflation : {1.0, 0.5, nan, inf}) {
+    AdversaryConfig config;
+    config.inflation = inflation;
+    EXPECT_THROW(Adversary(config, 1), std::invalid_argument) << inflation;
+  }
+  for (const double budget : {0.0, 1.0}) {
+    AdversaryConfig config;
+    config.budget = budget;
+    EXPECT_NO_THROW(Adversary(config, 1)) << budget;
+  }
 }
 
 TEST(AdversaryTest, PlansArePureFunctionsOfSeedEpochAndHistory) {
@@ -326,7 +338,7 @@ TEST(AdversaryCampaignTest, CliWitnessesArePinned) {
   for (const Pin& pin : kPins) {
     mvcom::obs::TraceRecorder recorder;
     auto config = campaign_config(pin.strategy, pin.risk_adaptive, 3);
-    config.chaos.obs = {nullptr, &recorder};
+    config.obs = {nullptr, &recorder};
     const CampaignResult result =
         run_adversarial_campaign(trace, config, kSeed);
     const std::string label =

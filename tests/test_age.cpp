@@ -4,18 +4,13 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
-
-#include "common/rng.hpp"
-#include "txn/trace_generator.hpp"
+#include <cstddef>
+#include <string>
+#include <vector>
 
 namespace {
 
-using mvcom::common::Rng;
-using mvcom::txn::deal_blocks_with_provenance;
 using mvcom::txn::shard_age_profile;
-using mvcom::txn::ShardBlocks;
-using mvcom::txn::total_age_profile;
 using mvcom::txn::Trace;
 
 Trace tiny_trace() {
@@ -34,8 +29,7 @@ Trace tiny_trace() {
 
 TEST(ShardAgeProfileTest, HandComputedAges) {
   const Trace trace = tiny_trace();
-  ShardBlocks shard;
-  shard.block_indices = {0, 2};
+  const std::vector<std::size_t> shard = {0, 2};
   // Commit at t=300: block0's 10 TXs waited 300 each, block2's 30 waited 100.
   const auto profile = shard_age_profile(trace, shard, 300.0);
   EXPECT_EQ(profile.tx_count, 40u);
@@ -46,8 +40,7 @@ TEST(ShardAgeProfileTest, HandComputedAges) {
 
 TEST(ShardAgeProfileTest, FutureBlocksClampToZeroAge) {
   const Trace trace = tiny_trace();
-  ShardBlocks shard;
-  shard.block_indices = {2};  // btime 200
+  const std::vector<std::size_t> shard = {2};  // btime 200
   const auto profile = shard_age_profile(trace, shard, 150.0);
   EXPECT_DOUBLE_EQ(profile.total_age, 0.0);
   EXPECT_EQ(profile.tx_count, 30u);
@@ -55,58 +48,16 @@ TEST(ShardAgeProfileTest, FutureBlocksClampToZeroAge) {
 
 TEST(ShardAgeProfileTest, EmptyShardIsZero) {
   const Trace trace = tiny_trace();
-  const auto profile = shard_age_profile(trace, ShardBlocks{}, 500.0);
+  const auto profile = shard_age_profile(trace, {}, 500.0);
   EXPECT_EQ(profile.tx_count, 0u);
   EXPECT_DOUBLE_EQ(profile.mean_age(), 0.0);
-}
-
-TEST(TotalAgeProfileTest, SumsAcrossShards) {
-  const Trace trace = tiny_trace();
-  std::vector<ShardBlocks> shards(2);
-  shards[0].block_indices = {0};
-  shards[1].block_indices = {1, 2};
-  const auto total = total_age_profile(trace, shards, 400.0);
-  EXPECT_EQ(total.tx_count, 60u);
-  EXPECT_DOUBLE_EQ(total.total_age,
-                   10 * 400.0 + 20 * 300.0 + 30 * 200.0);
-  EXPECT_DOUBLE_EQ(total.max_age, 400.0);
-}
-
-TEST(DealWithProvenanceTest, PartitionsAllBlocksExactlyOnce) {
-  Rng rng(3);
-  mvcom::txn::TraceGeneratorConfig tc;
-  tc.num_blocks = 60;
-  tc.target_total_txs = 60'000;
-  const Trace trace = mvcom::txn::generate_trace(tc, rng);
-  const auto shards = deal_blocks_with_provenance(trace, 12, rng);
-  ASSERT_EQ(shards.size(), 12u);
-  std::set<std::size_t> seen;
-  for (const auto& shard : shards) {
-    EXPECT_GE(shard.block_indices.size(), 1u);
-    for (const std::size_t b : shard.block_indices) {
-      EXPECT_TRUE(seen.insert(b).second) << "block dealt twice: " << b;
-    }
-  }
-  EXPECT_EQ(seen.size(), trace.blocks.size());
-}
-
-TEST(DealWithProvenanceTest, AgreesWithTxCountTotals) {
-  Rng rng(4);
-  mvcom::txn::TraceGeneratorConfig tc;
-  tc.num_blocks = 40;
-  tc.target_total_txs = 40'000;
-  const Trace trace = mvcom::txn::generate_trace(tc, rng);
-  const auto shards = deal_blocks_with_provenance(trace, 8, rng);
-  const auto total = total_age_profile(trace, shards, 1e12);
-  EXPECT_EQ(total.tx_count, trace.total_txs());
 }
 
 TEST(AgeMonotonicityTest, LaterCommitMeansOlderTxs) {
   // The motivation behind MVCom: every second the final committee waits for
   // a straggler, every already-submitted TX ages by that second.
   const Trace trace = tiny_trace();
-  ShardBlocks shard;
-  shard.block_indices = {0, 1, 2};
+  const std::vector<std::size_t> shard = {0, 1, 2};
   const auto early = shard_age_profile(trace, shard, 300.0);
   const auto late = shard_age_profile(trace, shard, 900.0);
   EXPECT_DOUBLE_EQ(late.total_age - early.total_age,

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "common/fnv.hpp"
@@ -217,6 +219,24 @@ TEST(ChaosEpochTest, ReportFoldIsPinned) {
     fold(count);
   }
   EXPECT_EQ(h, 0xb4bf4fa6cbf5fbe5ULL) << std::hex << h;
+}
+
+TEST(ChaosEpochTest, InflationsThatNoCountCanHoldThrow) {
+  // The inflated s_i of a misreport or equivocation must be a 64-bit count;
+  // a NaN, negative or overflowing product is rejected, never cast.
+  const auto committees = workload_committees(6, 4);
+  const std::uint32_t victim = committees[2].submission.committee_id;
+  for (const FaultKind kind : {FaultKind::kMisreport, FaultKind::kEquivocate}) {
+    for (const double magnitude :
+         {1e300, -3.0, std::numeric_limits<double>::quiet_NaN()}) {
+      FaultPlan plan;
+      plan.events.push_back({kind, victim, 1.0, 0.0, magnitude});
+      EXPECT_THROW(
+          (void)run_chaos_epoch(committees, plan, chaos_config(6, 10'000), 5),
+          std::invalid_argument)
+          << mvcom::core::to_string(kind) << " x" << magnitude;
+    }
+  }
 }
 
 TEST(ChaosEpochTest, RandomizedSchedulesNeverReportInfeasibleWhileFeasible) {

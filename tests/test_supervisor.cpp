@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -327,8 +326,10 @@ TEST(SupervisorDecideTest, LadderNeverInfeasibleWhileWitnessExists) {
     }
     sup.explore(50);
     const auto d = sup.decide();
-    const bool witness = mvcom::core::feasible_selection_exists(
-        sup.scheduler().reports(), 4000, sup.scheduler().n_min());
+    const bool witness = mvcom::core::minimal_feasible(
+                             sup.scheduler().reports(), 4000,
+                             sup.scheduler().n_min())
+                             .has_value();
     EXPECT_EQ(d.decision.feasible, witness) << "step " << step;
   }
 }
@@ -341,18 +342,28 @@ TEST(FeasibleSelectionExistsTest, ExactBoundaryAndOverflowSafety) {
     r.tx_count = 100 * (i + 1u);  // 100, 200, 300, 400
     reports.push_back(r);
   }
+  using mvcom::core::minimal_feasible;
   // The 2 smallest (100+200=300) define the exact boundary.
-  EXPECT_TRUE(mvcom::core::feasible_selection_exists(reports, 300, 2));
-  EXPECT_FALSE(mvcom::core::feasible_selection_exists(reports, 299, 2));
-  EXPECT_FALSE(mvcom::core::feasible_selection_exists(reports, 10'000, 5));
-  EXPECT_TRUE(mvcom::core::feasible_selection_exists(reports, 0, 0));
-  EXPECT_TRUE(mvcom::core::feasible_selection_exists({}, 0, 0));
+  const auto witness = minimal_feasible(reports, 300, 2);
+  ASSERT_TRUE(witness.has_value());
+  EXPECT_EQ(*witness, (mvcom::core::Selection{1, 1, 0, 0}));
+  EXPECT_FALSE(minimal_feasible(reports, 299, 2).has_value());
+  EXPECT_FALSE(minimal_feasible(reports, 10'000, 5).has_value());
+  EXPECT_EQ(minimal_feasible(reports, 0, 0),
+            mvcom::core::Selection(4, 0));  // N_min = 0: the empty selection
+  EXPECT_TRUE(minimal_feasible({}, 0, 0).has_value());
   // Accumulation must not wrap: two near-max shards vs max capacity.
   std::vector<ShardReport> huge(2);
   huge[0].tx_count = std::numeric_limits<std::uint64_t>::max() - 1;
   huge[1].tx_count = std::numeric_limits<std::uint64_t>::max() - 1;
-  EXPECT_FALSE(mvcom::core::feasible_selection_exists(
-      huge, std::numeric_limits<std::uint64_t>::max(), 2));
+  EXPECT_FALSE(minimal_feasible(
+                   huge, std::numeric_limits<std::uint64_t>::max(), 2)
+                   .has_value());
+  // Ties break by position: the witness is deterministic.
+  std::vector<ShardReport> ties(3);
+  for (ShardReport& r : ties) r.tx_count = 50;
+  EXPECT_EQ(minimal_feasible(ties, 100, 2),
+            (mvcom::core::Selection{1, 1, 0}));
 }
 
 TEST(SupervisorCarryTest, EquivocationEscalatesMonotonicallyAcrossEpochs) {
@@ -419,8 +430,7 @@ TEST(SupervisorCarryTest, CarriedStrikesAloneDoNotBanUntilNextOffense) {
 
 TEST(RiskPolicyTest, TightenedStrikeBudgetNeverBansAFirstOffense) {
   SupervisorConfig c = config();
-  c.risk.enabled = true;
-  c.risk.tighten_step = 0.5;  // extreme tightening pressure
+  c.risk_adaptive = true;
   EpochSupervisor sup(c, 35);
   mvcom::core::SupervisorCarry carry;
   carry.risk = 1000.0;  // inherited panic from prior epochs
@@ -439,7 +449,7 @@ TEST(RiskPolicyTest, BanIsSuppressedWhenItWouldCostUsableMembers) {
   // whole membership at 2 committees, even endless re-offending keeps the
   // offender quarantined (excluded from decisions) but never banned.
   SupervisorConfig c = config(2);
-  c.risk.enabled = true;
+  c.risk_adaptive = true;
   EpochSupervisor sup(c, 36);
   sup.on_submission(honest(1, 600), 700.0, 50.0);
   for (int offense = 0; offense < 6; ++offense) {
@@ -466,7 +476,7 @@ TEST(RiskPolicyTest, BanStillFiresWhileMembershipExceedsNmax) {
   // Above the N_max cutoff bans are free (listening stopped there anyway):
   // 8 honest members + the offender = 9 unbanned > N_max = 8.
   SupervisorConfig c = config(10);
-  c.risk.enabled = true;
+  c.risk_adaptive = true;
   EpochSupervisor sup(c, 37);
   for (std::uint32_t i = 1; i <= 8; ++i) {
     sup.on_submission(honest(i, 600), 700.0, 50.0);
@@ -480,16 +490,17 @@ TEST(RiskPolicyTest, BanStillFiresWhileMembershipExceedsNmax) {
 
 TEST(RiskPolicyTest, StrikesRaiseNminWithTheorem2Accounting) {
   SupervisorConfig c = config(10, 4800);  // 8 × 600 fits exactly
-  c.risk.enabled = true;
-  c.risk.escalation_step = 1.0;  // +1 N_min per strike
+  c.risk_adaptive = true;
   EpochSupervisor sup(c, 38);
   for (std::uint32_t i = 0; i < 8; ++i) {
     sup.on_submission(honest(i, 600), 700.0, 50.0);
   }
   const std::size_t base = sup.scheduler().n_min();
   ASSERT_EQ(base, 5u);  // ⌈0.5 · 10⌉
+  // Three strikes: risk 3, +⌊3 / kRiskEscalationStep (1.2)⌋ = +2 N_min.
   sup.on_submission(inflated(8, 600, 1800), 700.0, 50.0);
   sup.on_submission(inflated(9, 600, 1800), 700.0, 50.0);
+  sup.on_submission(inflated(8, 600, 2400), 700.0, 50.0);
   EXPECT_GT(sup.risk_score(), 0.0);
   EXPECT_EQ(sup.scheduler().n_min(), base + 2);
   ASSERT_FALSE(sup.resizes().empty());
@@ -506,7 +517,7 @@ TEST(RiskPolicyTest, StrikesRaiseNminWithTheorem2Accounting) {
 
 TEST(RiskPolicyTest, ExportedRiskDecaysByCarryFactor) {
   SupervisorConfig c = config();
-  c.risk.enabled = true;  // carry decay 0.5
+  c.risk_adaptive = true;  // carry decay 0.5
   EpochSupervisor sup(c, 39);
   sup.on_submission(inflated(0, 600, 1200), 700.0, 50.0);
   sup.on_submission(inflated(1, 600, 1200), 700.0, 50.0);
@@ -528,13 +539,10 @@ TEST(OnlineSchedulerResizeTest, SetNminRefusesToReachTheNmaxCutoff) {
   EXPECT_TRUE(sched.set_n_min(before));
 }
 
-TEST(SupervisorConfigTest, RejectsDegenerateParameters) {
-  SupervisorConfig bad_interval = config();
-  bad_interval.ping_interval_seconds = 0.0;
-  EXPECT_THROW(EpochSupervisor(bad_interval, 1), std::invalid_argument);
-}
-
-/// DES fixture: 8 committees on nodes 0..7, the observer on node 8.
+/// DES fixture: 8 committees on nodes 0..7, the observer on node 8. Probes
+/// go out every kPingIntervalSeconds = 30 s; kPingTimeoutSeconds = 12
+/// against RTT ≈ 2×1 s lets healthy pings pass, and
+/// kMissedPingsBeforeFailure = 3 misses declare a failure.
 class SupervisorMonitorTest : public ::testing::Test {
  protected:
   SupervisorMonitorTest()
@@ -542,20 +550,12 @@ class SupervisorMonitorTest : public ::testing::Test {
                  std::make_shared<mvcom::net::ExponentialLatency>(
                      mvcom::common::SimTime(1.0)),
                  9),
-        supervisor_(monitor_config(), 20) {
+        supervisor_(config(), 20) {
     for (std::uint32_t i = 0; i < 8; ++i) {
       supervisor_.on_submission(honest(i, 700), 650.0, 40.0);
       supervisor_.register_committee_node(i, i);
     }
     supervisor_.attach_monitor(simulator_, network_, 8);
-  }
-
-  static SupervisorConfig monitor_config() {
-    SupervisorConfig c = config();
-    // kPingTimeoutSeconds = 12 against RTT ≈ 2×1 s: healthy pings pass;
-    // kMissedPingsBeforeFailure = 3 misses declare a failure.
-    c.ping_interval_seconds = 30.0;
-    return c;
   }
 
   mvcom::sim::Simulator simulator_;

@@ -49,7 +49,8 @@
 //       policy across epochs. Prints per-epoch utility/safety plus two
 //       replay witnesses — the campaign decision digest and the obs
 //       event-stream digest — which must be bit-identical across runs with
-//       the same seed (the CI adversarial-smoke contract).
+//       the same seed (the CI adversarial-smoke contract). --budget must lie
+//       in [0, 1] and --inflation be finite and > 1, or the command exits 1.
 //
 //   mvcom fabric [--nodes N] [--committee-bits B] [--committee-size S]
 //                [--epochs N] [--workers W] [--seed S] [--verify 0|1]
@@ -571,28 +572,11 @@ int cmd_chaos_adversary(const Args& args, const std::string& strategy_name) {
   config.committees = committees;
   config.epochs = args.get_u64("epochs", 6);
   config.reserve = args.get_u64("reserve", churn ? committees : 0);
-
-  auto& sched = config.chaos.supervisor.scheduler;
-  sched.alpha = args.get_f64("alpha", 1.5);
-  // Capacity with modest slack past N_min·E[s_i] (~1088 TXs/shard): a lone
-  // inflated claim still fits beside the N_min−1 smallest honest shards —
-  // the crowding-out regime the risk-adaptive defense exists for.
-  sched.capacity = args.get_u64("capacity", 725 * committees);
-  // The whole membership (and any joiner) must be admittable: an N_max
-  // listening cutoff below the membership depletes the honest pool, and a
-  // depleted pool is exactly what lets a forged claim fit inside the
-  // capacity at the feasibility-frontier N_min. Keep the *effective* N_min
-  // at 50% of the initial membership.
-  sched.expected_committees = committees + config.reserve;
-  sched.n_max_fraction = 1.0;
-  if (config.reserve > 0) {
-    sched.n_min_fraction = 0.5 * static_cast<double>(committees) /
-                           static_cast<double>(committees + config.reserve);
-  }
-  config.chaos.ddl_seconds = args.get_f64("ddl", 1800.0);
-  config.chaos.supervisor.risk.enabled = args.get_u64("risk", 1) != 0;
-  config.chaos.supervisor.risk.escalation_step = 1.2;
-  config.chaos.supervisor.risk.boost_cap = 8;
+  config.alpha = args.get_f64("alpha", 1.5);
+  config.capacity = args.get_u64(
+      "capacity", mvcom::core::kCampaignCapacityPerCommittee * committees);
+  config.ddl_seconds = args.get_f64("ddl", 1800.0);
+  config.risk_adaptive = args.get_u64("risk", 1) != 0;
 
   mvcom::txn::TraceGeneratorConfig tc;
   tc.num_blocks = std::max<std::uint64_t>(64, committees + config.reserve);
@@ -610,7 +594,7 @@ int cmd_chaos_adversary(const Args& args, const std::string& strategy_name) {
     local_recorder.emplace();
     obs = {obs.metrics(), &*local_recorder};
   }
-  config.chaos.obs = obs;
+  config.obs = obs;
 
   const auto result =
       mvcom::core::run_adversarial_campaign(trace, config, seed);
@@ -620,7 +604,7 @@ int cmd_chaos_adversary(const Args& args, const std::string& strategy_name) {
               "(+%zu reserve), risk policy %s\n",
               mvcom::core::to_string(*strategy), config.adversary.budget,
               config.epochs, committees, config.reserve,
-              config.chaos.supervisor.risk.enabled ? "on" : "off");
+              config.risk_adaptive ? "on" : "off");
   for (std::size_t e = 0; e < result.epochs.size(); ++e) {
     const auto& o = result.epochs[e];
     std::printf(
@@ -710,7 +694,8 @@ int cmd_chaos(const Args& args) {
                 e.at_seconds, mvcom::core::to_string(e.kind), e.committee_id,
                 e.duration_seconds, e.magnitude);
   }
-  std::printf("timeline (every %.0fs):\n", config.explore_tick_seconds * 4);
+  std::printf("timeline (every %.0fs):\n",
+              mvcom::core::kExploreTickSeconds * 4);
   for (std::size_t i = 0; i < report.timeline.size(); i += 4) {
     const auto& p = report.timeline[i];
     std::printf("  t=%7.1fs  %-14s utility %10.1f%s\n", p.at_seconds,
@@ -794,6 +779,14 @@ int cmd_serve(const Args& args) {
   mvcom::pipeline::ServeSession session(config);
   g_serve_session.store(&session, std::memory_order_relaxed);
   std::signal(SIGINT, serve_sigint_handler);
+  // Restores both on every exit path, a throwing run() included: the
+  // handler must never outlive the session it points at.
+  struct SigintRestore {
+    ~SigintRestore() {
+      std::signal(SIGINT, SIG_DFL);
+      g_serve_session.store(nullptr, std::memory_order_relaxed);
+    }
+  } sigint_restore;
 
   std::printf("serving %llu epochs x %llu committees "
               "(depth %zu, workers %zu, warm start %s)\n",
@@ -812,8 +805,6 @@ int cmd_serve(const Args& args) {
                     static_cast<unsigned long long>(r.event_order_digest));
         std::fflush(stdout);
       });
-  std::signal(SIGINT, SIG_DFL);
-  g_serve_session.store(nullptr, std::memory_order_relaxed);
 
   const auto& t = summary.totals;
   std::printf("%s after %zu epochs: ingested %llu, committed %llu, "
