@@ -432,7 +432,7 @@ void EpochSupervisor::attach_monitor(sim::Simulator& simulator,
   observer_ = observer;
   for (const auto& [id, node] : node_of_) {
     (void)node;
-    schedule_probe(id, health_[id].ping_interval_seconds);
+    schedule_probe(id, health_[id].probe_interval_seconds);
   }
 }
 
@@ -442,7 +442,7 @@ void EpochSupervisor::register_committee_node(std::uint32_t committee_id,
   node_of_[committee_id] = node;
   const CommitteeHealth& h = health_[committee_id];
   if (simulator_ != nullptr && !known) {
-    schedule_probe(committee_id, h.ping_interval_seconds);
+    schedule_probe(committee_id, h.probe_interval_seconds);
   }
 }
 
@@ -483,16 +483,16 @@ void EpochSupervisor::probe(std::uint32_t committee_id) {
     }
     if (h.failed) {
       // Down: keep checking, but back off exponentially (§V-A timeouts).
-      h.ping_interval_seconds =
-          std::min(h.ping_interval_seconds * kPingBackoffFactor,
+      h.probe_interval_seconds =
+          std::min(h.probe_interval_seconds * kPingBackoffFactor,
                    kPingIntervalCapSeconds);
     }
   } else {
     h.missed_pings = 0;
-    h.ping_interval_seconds = kPingIntervalSeconds;
+    h.probe_interval_seconds = kPingIntervalSeconds;
     if (h.failed) on_recovery(committee_id);
   }
-  schedule_probe(committee_id, h.ping_interval_seconds);
+  schedule_probe(committee_id, h.probe_interval_seconds);
 }
 
 double EpochSupervisor::now_seconds() const {

@@ -180,7 +180,7 @@ struct CommitteeHealth {
   int missed_pings = 0;
   std::uint64_t verified_txs = 0;  // s_i of the last verified submission
   /// Current probe interval (backed off while the committee is down).
-  double ping_interval_seconds = kPingIntervalSeconds;
+  double probe_interval_seconds = kPingIntervalSeconds;
 };
 
 struct SupervisorConfig {

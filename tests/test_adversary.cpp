@@ -54,8 +54,8 @@ std::vector<ChaosCommittee> test_committees(const mvcom::txn::Trace& trace,
   return chaos_committees_from_reports(gen.epoch_keyed(3, 0).reports);
 }
 
-/// The CLI / bench campaign parameterization (20 committees, Ĉ = 725·|I|,
-/// budget 0.35).
+/// The CLI / bench campaign parameterization (20 committees,
+/// Ĉ = kCampaignCapacityPerCommittee·|I|, budget 0.35).
 CampaignConfig campaign_config(AdversaryStrategy strategy, bool risk_adaptive,
                                std::size_t epochs) {
   CampaignConfig config;

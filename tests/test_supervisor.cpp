@@ -576,7 +576,7 @@ TEST_F(SupervisorMonitorTest, CrashIsDetectedAfterKMissedPings) {
   // Detection needs K = 3 consecutive missed probes at 30 s spacing.
   EXPECT_GE(supervisor_.failures()[0].sim_time_seconds, 100.0 + 2 * 30.0);
   // Backoff: the probing interval grew once the committee was declared down.
-  EXPECT_GT(supervisor_.health(5)->ping_interval_seconds, 30.0);
+  EXPECT_GT(supervisor_.health(5)->probe_interval_seconds, 30.0);
 }
 
 TEST_F(SupervisorMonitorTest, SingleMissedPingIsTolerated) {
@@ -602,7 +602,7 @@ TEST_F(SupervisorMonitorTest, ReturningPingTriggersAutomaticRecovery) {
   EXPECT_TRUE(supervisor_.health(5)->admitted);
   EXPECT_TRUE(reports_contain(supervisor_, 5));
   // The probing cadence resets once the committee answers again.
-  EXPECT_DOUBLE_EQ(supervisor_.health(5)->ping_interval_seconds, 30.0);
+  EXPECT_DOUBLE_EQ(supervisor_.health(5)->probe_interval_seconds, 30.0);
 }
 
 TEST_F(SupervisorMonitorTest, TotalLossBurstTripsTheDetector) {
