@@ -1,6 +1,7 @@
 #include "mvcom/fault_injection.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
 #include <memory>
 #include <stdexcept>
@@ -155,6 +156,12 @@ struct SimClockGuard {
 ChaosReport run_chaos_epoch(const std::vector<ChaosCommittee>& committees,
                             const FaultPlan& plan, const ChaosConfig& config,
                             std::uint64_t seed) {
+  // run_until(DDL) is the only bound on the event loop: the heartbeat probes
+  // reschedule themselves forever, so a NaN or infinite DDL never returns.
+  if (!(std::isfinite(config.ddl_seconds) && config.ddl_seconds > 0.0)) {
+    throw std::invalid_argument(
+        "run_chaos_epoch: ddl_seconds must be finite and > 0");
+  }
   common::Rng root(seed);
   sim::Simulator simulator;
   // Network nodes are fixed at construction, so the reserve pool gets its

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 
@@ -18,8 +19,11 @@ EpochInstance::EpochInstance(std::vector<Committee> committees, double alpha,
   if (committees_.empty()) {
     throw std::invalid_argument("EpochInstance: no committees");
   }
-  if (alpha_ <= 0.0) {
-    throw std::invalid_argument("EpochInstance: alpha must be positive");
+  // Every solver, and the pipeline's optimality certificate, reads gain
+  // signs; a NaN or infinite α makes them meaningless.
+  if (!(std::isfinite(alpha_) && alpha_ > 0.0)) {
+    throw std::invalid_argument(
+        "EpochInstance: alpha must be finite and positive");
   }
   // Reject adversarial shard sizes whose total would wrap std::uint64_t:
   // downstream bookkeeping (smallest-prefix feasibility tests, incremental

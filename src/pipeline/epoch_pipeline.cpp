@@ -61,10 +61,9 @@ std::string epoch_randomness(std::uint64_t seed, std::size_t epoch) {
   return "serve|" + std::to_string(seed) + "|" + std::to_string(epoch);
 }
 
-/// Greedy cross-epoch warm seed: descending-gain fill under Ĉ, then a
-/// smallest-shards top-up toward N_min. Deterministic (ties broken by
-/// index) and O(I log I) — cheap next to one SE iteration block.
-core::Selection greedy_seed(const core::EpochInstance& instance) {
+}  // namespace
+
+GreedySeed greedy_seed(const core::EpochInstance& instance) {
   const std::size_t n = instance.size();
   std::vector<std::uint32_t> order(n);
   std::iota(order.begin(), order.end(), 0u);
@@ -74,13 +73,22 @@ core::Selection greedy_seed(const core::EpochInstance& instance) {
     if (ga != gb) return ga > gb;
     return a < b;
   });
+  GreedySeed out;
   core::Selection sel(n, 0);
   std::uint64_t used = 0;
   std::size_t chosen = 0;
+  // Cleared by anything that makes the selection differ from P: a
+  // positive-gain shard left out for capacity, or a non-positive one taken.
+  bool exactly_positive = true;
   for (const std::uint32_t i : order) {
     const std::uint64_t txs = instance.committees()[i].txs;
-    if (instance.gain(i) <= 0.0 && chosen >= instance.n_min()) break;
-    if (used + txs > instance.capacity()) continue;
+    const bool positive = instance.gain(i) > 0.0;
+    if (!positive && chosen >= instance.n_min()) break;
+    if (used + txs > instance.capacity()) {
+      if (positive) exactly_positive = false;
+      continue;
+    }
+    if (!positive) exactly_positive = false;
     sel[i] = 1;
     used += txs;
     ++chosen;
@@ -89,6 +97,7 @@ core::Selection greedy_seed(const core::EpochInstance& instance) {
     // Top up with the smallest remaining shards; bail out (empty seed) when
     // even that cannot reach N_min — the instance is then infeasible for
     // the SE scheduler too.
+    exactly_positive = false;
     std::sort(order.begin(), order.end(),
               [&](std::uint32_t a, std::uint32_t b) {
                 const std::uint64_t ta = instance.committees()[a].txs;
@@ -105,13 +114,13 @@ core::Selection greedy_seed(const core::EpochInstance& instance) {
       used += txs;
       ++chosen;
     }
-    if (chosen < instance.n_min()) return {};
+    if (chosen < instance.n_min()) return out;
   }
-  if (chosen == 0) return {};
-  return sel;
+  if (chosen == 0) return out;
+  out.selection = std::move(sel);
+  out.certified = exactly_positive;
+  return out;
 }
-
-}  // namespace
 
 EpochPipeline::EpochPipeline(const txn::Trace& trace, PipelineConfig config)
     : trace_(&trace), config_(std::move(config)) {
@@ -138,6 +147,7 @@ void EpochPipeline::set_obs(obs::ObsContext obs) {
   obs_epochs_ = nullptr;
   obs_committed_ = nullptr;
   obs_carried_ = nullptr;
+  obs_certified_ = nullptr;
   obs_utility_ = nullptr;
   obs_commit_time_ = nullptr;
   obs::MetricsRegistry* m = obs_.metrics();
@@ -150,6 +160,9 @@ void EpochPipeline::set_obs(obs::ObsContext obs) {
   obs_carried_ = &m->counter("mvcom_pipeline_txs_total",
                              "TXs by scheduling outcome per epoch",
                              {{"result", "carried"}});
+  obs_certified_ =
+      &m->counter("mvcom_pipeline_certified_epochs_total",
+                  "Epochs whose greedy seed was certified optimal, SE skipped");
   obs_utility_ = &m->gauge("mvcom_pipeline_epoch_utility",
                            "Eq.-(2) utility of the latest committed epoch");
   obs_commit_time_ = &m->gauge("mvcom_pipeline_commit_time_seconds",
@@ -272,14 +285,22 @@ EpochReport EpochPipeline::schedule_epoch(FormedEpoch&& formed) {
                                        capacity, config_.n_min);
     switch (config_.policy) {
       case FinalPolicy::kMvcomSe: {
+        GreedySeed seed;
+        if (config_.warm_start) seed = greedy_seed(instance);
+        if (seed.certified) {
+          // Provably optimal: SE could only return this seed (its floor
+          // moves only for u > floor + kConvergenceTol), so skip the search.
+          keep = std::move(seed.selection);
+          report.feasible = true;
+          report.utility = report.warm_seed_utility = instance.utility(keep);
+          if (obs_certified_ != nullptr) obs_certified_->inc();
+          break;
+        }
         const std::uint64_t se_seed = Rng::stream(
             config_.seed, stream_index(formed.epoch, kSeSeedSlot))();
         core::SeScheduler scheduler(instance, config_.se, se_seed);
-        if (config_.warm_start) {
-          const core::Selection seed_sel = greedy_seed(instance);
-          if (!seed_sel.empty()) {
-            report.warm_seed_utility = scheduler.warm_start(seed_sel);
-          }
+        if (!seed.selection.empty()) {
+          report.warm_seed_utility = scheduler.warm_start(seed.selection);
         }
         const core::SeResult result = scheduler.run();
         se_iterations = result.iterations;

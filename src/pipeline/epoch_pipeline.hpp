@@ -22,10 +22,13 @@
 //     previous final block's commit instant), build the EpochInstance, pick
 //     the final committee's shards under the configured FinalPolicy (by
 //     default the SE scheduler, warm-started from a greedy cross-epoch
-//     seed), decide the DDL, run stage-4 final consensus as a real
-//     discrete-event PBFT round, account committed per-TX ages, extend the
-//     root chain, and carry the refused shards forward. Stage B mutates all
-//     cross-epoch state and therefore executes strictly in epoch order.
+//     seed; when that seed is exactly P = {i : gain_i > 0} and fits Ĉ and
+//     N_min, no selection can beat Σ_i max(gain_i, 0), so the seed is
+//     committed as it is and SE does not run), decide the DDL, run stage-4
+//     final consensus as a real discrete-event PBFT round, account
+//     committed per-TX ages, extend the root chain, and carry the refused
+//     shards forward. Stage B mutates all cross-epoch state and therefore
+//     executes strictly in epoch order.
 //
 // Overlap: with overlap_depth d >= 2, step k runs {B(k), A(k+d-1)} as one
 // thread-pool batch — the root chain never idles waiting for formation.
@@ -80,7 +83,8 @@ struct PipelineConfig {
   core::SeParams se;               // SE scheduler knobs (threads, iterations…)
   /// SE policy only: seed epoch e+1's explorers from a greedy cross-epoch
   /// selection via SeScheduler::warm_start; the reported utility can then
-  /// never fall below the seed's.
+  /// never fall below the seed's. A certified seed (GreedySeed) is
+  /// committed without running SE.
   bool warm_start = true;
   /// > 0: stage A really grinds PoW midstates at this difficulty (bits of
   /// leading zeros) per committee — makes formation genuinely CPU-bound and
@@ -105,7 +109,7 @@ struct EpochReport {
   std::uint64_t committed_txs = 0;
   std::uint64_t carried_txs = 0;     // refused, still pending after this epoch
   double total_age = 0.0;            // Σ per-TX (commit − btime), committed
-  std::uint64_t se_iterations = 0;
+  std::uint64_t se_iterations = 0;   // 0 when the seed was certified
   std::uint64_t des_events = 0;          // stage-4 simulator events
   std::uint64_t event_order_digest = 0;  // formation + DES + selection fold
 };
@@ -121,6 +125,22 @@ struct PipelineTotals {
   std::size_t max_shard_carries = 0;  // most times any one shard was deferred
   std::uint64_t digest = 0;           // fold of the per-epoch digests
 };
+
+/// Stage B's greedy cross-epoch warm seed, and whether it is provably
+/// optimal.
+struct GreedySeed {
+  core::Selection selection;  // empty when no feasible seed was found
+  /// The selection is exactly P = {i : gain_i > 0}, non-empty, within Ĉ and
+  /// with |P| >= N_min. No selection's Eq.-(2) utility can exceed
+  /// Σ_i max(gain_i, 0), and P reaches it, so P is optimal (DESIGN.md §13).
+  bool certified = false;
+};
+
+/// Descending-gain fill under Ĉ, then a smallest-shards top-up toward N_min.
+/// Deterministic (ties broken by index) and O(I log I) — cheap next to one
+/// SE iteration block. Certified when the fill skipped no positive-gain
+/// shard for capacity, took no non-positive one and needed no top-up.
+[[nodiscard]] GreedySeed greedy_seed(const core::EpochInstance& instance);
 
 class EpochPipeline {
  public:
@@ -197,6 +217,7 @@ class EpochPipeline {
   obs::Counter* obs_epochs_ = nullptr;
   obs::Counter* obs_committed_ = nullptr;
   obs::Counter* obs_carried_ = nullptr;
+  obs::Counter* obs_certified_ = nullptr;
   obs::Gauge* obs_utility_ = nullptr;
   obs::Gauge* obs_commit_time_ = nullptr;
 };

@@ -239,6 +239,22 @@ TEST(ChaosEpochTest, InflationsThatNoCountCanHoldThrow) {
   }
 }
 
+TEST(ChaosEpochTest, DdlMustBeFiniteAndPositive) {
+  // The DDL bounds the epoch's event loop; a NaN or infinite one would
+  // never return, so it is refused before anything is scheduled.
+  const auto committees = workload_committees(6, 4);
+  for (const double ddl : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(), 0.0,
+                           -5.0}) {
+    ChaosConfig config = chaos_config(6, 10'000);
+    config.ddl_seconds = ddl;
+    EXPECT_THROW((void)run_chaos_epoch(committees, FaultPlan{}, config, 5),
+                 std::invalid_argument)
+        << ddl;
+  }
+}
+
 TEST(ChaosEpochTest, RandomizedSchedulesNeverReportInfeasibleWhileFeasible) {
   // The issue's acceptance criterion, swept across randomized fault
   // schedules: crash + misreport + straggler (and friends) must never make

@@ -125,10 +125,15 @@ TEST(EpochInstanceTest, FromReportsBridgesWorkload) {
 
 TEST(EpochInstanceTest, RejectsInvalidConstruction) {
   EXPECT_THROW(EpochInstance({}, 1.0, 10, 0), std::invalid_argument);
-  EXPECT_THROW(EpochInstance({{0, 1, 1.0}}, 0.0, 10, 0),
-               std::invalid_argument);
-  EXPECT_THROW(EpochInstance({{0, 1, 1.0}}, -1.0, 10, 0),
-               std::invalid_argument);
+  // NaN slips past a plain `alpha <= 0` test; gain signs would then be
+  // meaningless to every solver.
+  for (const double bad : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(EpochInstance({{0, 1, 1.0}}, bad, 10, 0),
+                 std::invalid_argument)
+        << bad;
+  }
 }
 
 // --- Lemma 1: the knapsack reduction ----------------------------------------
